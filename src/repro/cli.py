@@ -636,7 +636,7 @@ def _serve_listen(args, service) -> int:
             trickle_rate=args.sock_trickle_rate,
         )
     server = SocketServer(
-        service.submit_json,
+        service.submit,
         host=host,
         port=port,
         backends=(getattr(args, "backend", "interpreted"),),

@@ -33,7 +33,6 @@ end-to-end latency live in :attr:`StencilService.metrics`.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
@@ -46,12 +45,22 @@ from ..lower.executor import (  # noqa: F401 (registers backend)
 )
 from .chaos import ChaosConfig
 from .executor import make_executor, make_response, observe_stage
-from .fingerprint import fingerprint
 from .plancache import PlanCache
-from .proto import ProtoError, Request, Response, error_response
+from .proto import (
+    ProtoError,
+    Request,
+    Response,
+    decode_request_line,
+    error_response,
+)
 from .pool import ProcessPlanExecutor  # noqa: F401 (registers backend)
 from .scheduler import QueueClosedError, ResultSlot, Scheduler, WorkItem
-from .workload import WorkloadError, WorkloadPlan, plan_workload
+from .workload import (
+    WorkloadError,
+    WorkloadPlan,
+    resolve_single,
+    resolve_workload,
+)
 
 __all__ = [
     "EXECUTION_BACKENDS",
@@ -270,16 +279,6 @@ class StencilService:
         )
         self._started = False
         self._seq = 0
-        # Named-benchmark requests resolve to the same (spec, options,
-        # fingerprint) for every seed; memoizing that triple takes the
-        # hot warm path's per-request cost from ~0.4ms of spec
-        # construction + canonical hashing down to one dict probe.
-        # Inline-spec requests are not memoized (their identity is the
-        # whole JSON document).
-        self._resolve_memo: Dict[tuple, tuple] = {}
-        # Workload planning (chain/fuse walk + per-stage fingerprints)
-        # is likewise memoized for registered-benchmark workloads.
-        self._workload_memo: Dict[tuple, WorkloadPlan] = {}
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "StencilService":
@@ -318,39 +317,6 @@ class StencilService:
         self.shutdown(drain=exc_type is None)
 
     # -- request parsing -----------------------------------------------
-    def _resolve(self, req: Request):
-        """``(spec, options, fingerprint)``, memoized for benchmarks."""
-        if req.benchmark is None:
-            spec, options = req.resolve_spec()
-            return spec, options, fingerprint(spec, options)
-        key = (req.benchmark, req.grid, req.streams)
-        hit = self._resolve_memo.get(key)
-        if hit is None:
-            spec, options = req.resolve_spec()
-            hit = (spec, options, fingerprint(spec, options))
-            if len(self._resolve_memo) >= 512:  # defensive bound
-                self._resolve_memo.clear()
-            self._resolve_memo[key] = hit
-        return hit
-
-    def _plan_workload(self, req: Request) -> WorkloadPlan:
-        """Lower ``req.workload`` into stages, memoized when possible."""
-        memo_key = req.workload.memo_key()
-        key = None
-        if memo_key is not None:
-            key = (memo_key, req.grid, req.streams)
-            hit = self._workload_memo.get(key)
-            if hit is not None:
-                return hit
-        plan = plan_workload(
-            req.workload, grid=req.grid, streams=req.streams
-        )
-        if key is not None:
-            if len(self._workload_memo) >= 512:  # defensive bound
-                self._workload_memo.clear()
-            self._workload_memo[key] = plan
-        return plan
-
     def _count_workload(self, req: Request, plan: WorkloadPlan) -> None:
         self.metrics.counter(
             "service_workload_requests_total",
@@ -368,7 +334,7 @@ class StencilService:
         stages = None
         label = None
         if req.workload is not None:
-            plan = self._plan_workload(req)
+            plan = resolve_workload(req)
             self._count_workload(req, plan)
             spec = plan.stages[0].spec
             options = plan.stages[0].options
@@ -377,7 +343,7 @@ class StencilService:
                 stages = plan.stages
                 label = plan.label
         else:
-            spec, options, plan_fp = self._resolve(req)
+            spec, options, plan_fp = resolve_single(req)
         timeout_s = (
             self.config.default_timeout_s
             if req.timeout_s is None
@@ -559,13 +525,9 @@ class StencilService:
     def submit_json(self, line: str, **kwargs) -> ResultSlot:
         """Submit one JSON-encoded request line."""
         try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-        except ValueError as exc:
-            return self._resolve_invalid(
-                None, f"bad request JSON: {exc}"
-            )
+            request = decode_request_line(line)
+        except ProtoError as exc:
+            return self._resolve_invalid(None, str(exc), kind=exc.kind)
         return self.submit(request, **kwargs)
 
     def handle(

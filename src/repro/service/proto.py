@@ -46,6 +46,7 @@ the next.
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 from dataclasses import dataclass, field, fields, replace
@@ -615,4 +616,22 @@ def error_response(
     )
 
 
-__all__.append("error_response")
+def decode_request_line(line: str) -> dict:
+    """One JSONL request line -> its wire dict.
+
+    Raises :class:`ProtoError` (``bad_request``) when the line is not
+    JSON or not a JSON object, so every line-oriented front end answers
+    a malformed line with the same ``invalid`` response.
+    """
+    try:
+        request = json.loads(line)
+    except ValueError as exc:
+        raise ProtoError(f"bad request JSON: {exc}") from exc
+    if not isinstance(request, dict):
+        raise ProtoError(
+            "bad request JSON: request must be a JSON object"
+        )
+    return request
+
+
+__all__ += ["decode_request_line", "error_response"]

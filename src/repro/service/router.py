@@ -569,9 +569,10 @@ class Router:
         self._drained = threading.Condition(self._lock)
         self._pending: Dict[str, _Pending] = {}
         #: Outstanding control requests (metrics collection) by wire
-        #: id — kept apart from ``_pending`` so control replies never
-        #: enter the request resolution/failover machinery.
-        self._controls: Dict[str, ResultSlot] = {}
+        #: id, with the (node, generation) they were written to — kept
+        #: apart from ``_pending`` so control replies never enter the
+        #: request resolution/failover machinery.
+        self._controls: Dict[str, Tuple[int, int, ResultSlot]] = {}
         #: fingerprint -> (node index, in-flight count): the global
         #: single-flight owner table.
         self._owners: Dict[str, List[int]] = {}
@@ -1153,7 +1154,7 @@ class Router:
             control = self._controls.pop(response.id or "", None)
         if control is not None:
             response.node = node.idx
-            control.resolve(response)
+            control[2].resolve(response)
             return
         entry = self._take(response.id or "")
         if entry is None:
@@ -1163,13 +1164,32 @@ class Router:
         self._resolve_entry(entry, response)
 
     def _on_node_exit(self, node: _Node, generation: int) -> None:
-        """Fail over everything in flight on a dead node."""
+        """Fail over everything in flight on a dead node, and fail its
+        pending control requests so a metrics pull never waits on a
+        node that cannot answer."""
         with self._lock:
             orphans = [
                 e
                 for e in self._pending.values()
                 if e.node == node.idx and e.generation == generation
             ]
+            controls = [
+                self._controls.pop(control_id)[2]
+                for control_id, (idx, gen, _) in list(
+                    self._controls.items()
+                )
+                if idx == node.idx and gen == generation
+            ]
+        for slot in controls:
+            slot.resolve(
+                error_response(
+                    None,
+                    "error",
+                    f"service node {node.idx} exited",
+                    kind="worker_lost",
+                    node=node.idx,
+                )
+            )
         self.metrics.gauge(
             "router_node_up", self._node_labels(node.idx)
         ).set(0)
@@ -1227,18 +1247,21 @@ class Router:
             out[node.idx] = None
             if not node.ready() or node.closing:
                 continue
+            generation = node.generation
             with self._lock:
                 self._seq += 1
                 control_id = f"ctl-{self._seq}"
                 slot = ResultSlot()
-                self._controls[control_id] = slot
+                self._controls[control_id] = (
+                    node.idx, generation, slot
+                )
             wire = {
                 "proto": PROTO_VERSION,
                 "id": control_id,
                 "control": "metrics",
             }
             try:
-                node.send(wire, node.generation)
+                node.send(wire, generation)
             except OSError:
                 with self._lock:
                     self._controls.pop(control_id, None)

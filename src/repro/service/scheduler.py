@@ -42,25 +42,49 @@ class ResultSlot:
     """A write-once response cell the submitter blocks on.
 
     Resolutions are typed :class:`repro.service.proto.Response`
-    objects (which still support legacy mapping access).
+    objects (which still support legacy mapping access).  Besides
+    blocking on :meth:`result`, a consumer can register a done-callback
+    with :meth:`add_done_callback`; it runs exactly once, on the thread
+    that resolves the slot (or inline when the slot already resolved).
     """
 
-    __slots__ = ("_event", "_response", "_on_resolve")
+    __slots__ = ("_event", "_response", "_on_resolve", "_lock",
+                 "_callbacks")
 
     def __init__(self, on_resolve=None) -> None:
         self._event = threading.Event()
         self._response: Optional[Response] = None
         self._on_resolve = on_resolve
+        self._lock = threading.Lock()
+        self._callbacks: Optional[list] = None
 
     def resolve(self, response: Response) -> bool:
-        """Set the response; returns False if already resolved."""
-        if self._event.is_set():
-            return False
-        self._response = response
-        self._event.set()
+        """Set the response; returns False if already resolved.
+
+        The drain accounting (``on_resolve``) runs first, then every
+        done-callback — both outside the slot's lock.
+        """
+        with self._lock:
+            if self._event.is_set():
+                return False
+            self._response = response
+            self._event.set()
+            callbacks, self._callbacks = self._callbacks, None
         if self._on_resolve is not None:
             self._on_resolve()
+        for callback in callbacks or ():
+            callback(self)
         return True
+
+    def add_done_callback(self, callback) -> None:
+        """Call ``callback(slot)`` once the slot has resolved."""
+        with self._lock:
+            if not self._event.is_set():
+                if self._callbacks is None:
+                    self._callbacks = []
+                self._callbacks.append(callback)
+                return
+        callback(self)
 
     def done(self) -> bool:
         return self._event.is_set()

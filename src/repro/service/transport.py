@@ -28,15 +28,17 @@ can span hosts, with robustness as the headline:
   so the socket chaos campaigns replay exactly like the worker ones.
 
 The server side (:class:`SocketServer`) wraps anything exposing the
-``submit_json(line) -> ResultSlot`` surface (a
+``submit(document) -> ResultSlot`` surface (a
 :class:`~repro.service.api.StencilService` behind ``repro serve
---listen``); the client side (:func:`connect_with_backoff` +
-:class:`SocketConnection`) is what the router's TCP node endpoints are
-built from.
+--listen``) and writes each reply from the slot's done-callback, on
+the thread that resolves the request; the client side
+(:func:`connect_with_backoff` + :class:`SocketConnection`) is what the
+router's TCP node endpoints are built from.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -47,7 +49,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .chaos import ChaosConfig, ChaosInjector
-from .proto import PROTO_VERSION, error_response
+from .proto import (
+    PROTO_VERSION,
+    ProtoError,
+    decode_request_line,
+    error_response,
+)
+from .scheduler import ResultSlot
 
 __all__ = [
     "BackoffPolicy",
@@ -510,16 +518,19 @@ class SocketServer:
     immediately and out of band, so heartbeats stay honest while a
     slow compile occupies the service.
 
-    ``submit_json`` is the service surface
-    (``line -> ResultSlot``); everything reaching it is already
-    newline-stripped.  The server never drops a request without a
-    response: a request accepted before a connection dies still runs,
-    and its response write failure is counted, not raised.
+    ``submit`` is the service surface (``document -> ResultSlot``):
+    each line is decoded once, here, and a line that is not a JSON
+    object is answered ``invalid`` without reaching the service.  The
+    reply is written by the slot's done-callback, under the
+    connection's write lock, on whichever thread resolves the request
+    — no thread per request.  The server never drops a request without
+    a response: a request accepted before a connection dies still
+    runs, and its response write failure is counted, not raised.
     """
 
     def __init__(
         self,
-        submit_json: Callable[[str], object],
+        submit: Callable[[dict], ResultSlot],
         host: str = "127.0.0.1",
         port: int = 0,
         node_id: Optional[str] = None,
@@ -528,7 +539,7 @@ class SocketServer:
         chaos: Optional[SocketChaos] = None,
         handshake_timeout_s: float = HANDSHAKE_TIMEOUT_S,
     ) -> None:
-        self._submit_json = submit_json
+        self._submit = submit
         self._host = host
         self._port = port
         self.hello = Hello(
@@ -575,6 +586,12 @@ class SocketServer:
     def stop(self) -> None:
         self._stopping.set()
         if self._listener is not None:
+            # On Linux close() alone does not wake a thread blocked in
+            # accept(); shutdown() does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
@@ -676,10 +693,13 @@ class SocketServer:
             return "none"
         return self._chaos.decision(request_id or "?", 0)
 
-    def _respond(self, conn: _Connection, slot, request_id: str) -> None:
-        """Write one resolved response, applying seeded socket chaos."""
-        response = slot.result()
-        document = response.to_json()
+    def _respond(
+        self, conn: _Connection, request_id: str, slot: ResultSlot
+    ) -> None:
+        """Done-callback: write one resolved response, applying seeded
+        socket chaos.  Runs on the resolving thread; only the trickle
+        fault, which sleeps, moves to a thread of its own."""
+        document = slot.result().to_json()
         action = self._chaos_decision(request_id)
         if action == "kill":
             # The worst moment: the result exists, the client never
@@ -699,7 +719,12 @@ class SocketServer:
             self._count(
                 "service_conn_chaos_total", {"fault": "trickle"}
             )
-            self._trickle(conn, document)
+            threading.Thread(
+                target=self._trickle,
+                args=(conn, document),
+                name="socket-server-trickle",
+                daemon=True,
+            ).start()
             return
         if not self._write_line(conn, document):
             self._count("service_conn_write_failures_total")
@@ -731,39 +756,42 @@ class SocketServer:
                 line = line.strip()
                 if not line:
                     continue
-                document = None
                 try:
-                    document = json.loads(line)
-                except ValueError:
-                    pass
-                if (
-                    isinstance(document, dict)
-                    and document.get("control") == "ping"
-                ):
-                    # Transport-level pong: immediate, out of band, so
-                    # a slow compile never masks connection liveness.
-                    pong = {
-                        "proto": PROTO_VERSION,
-                        "id": document.get("id"),
-                        "status": "ok",
-                        "summary": {"pong": True},
-                    }
-                    if "t" in document:
-                        pong["summary"]["t"] = document["t"]
-                    self._write_line(conn, pong)
-                    continue
-                slot = self._submit_json(line)
-                request_id = (
-                    str(document.get("id"))
-                    if isinstance(document, dict)
-                    and document.get("id") is not None
-                    else ""
+                    document = decode_request_line(line)
+                except ProtoError as exc:
+                    self._count(
+                        "service_requests_total", {"status": "invalid"}
+                    )
+                    request_id = None
+                    slot = ResultSlot()
+                    slot.resolve(
+                        error_response(
+                            None, "invalid", str(exc), kind=exc.kind
+                        )
+                    )
+                else:
+                    if document.get("control") == "ping":
+                        # Transport-level pong: immediate, out of band,
+                        # so a slow compile never masks liveness.
+                        pong = {
+                            "proto": PROTO_VERSION,
+                            "id": document.get("id"),
+                            "status": "ok",
+                            "summary": {"pong": True},
+                        }
+                        if "t" in document:
+                            pong["summary"]["t"] = document["t"]
+                        self._write_line(conn, pong)
+                        continue
+                    request_id = document.get("id")
+                    slot = self._submit(document)
+                slot.add_done_callback(
+                    functools.partial(
+                        self._respond,
+                        conn,
+                        "" if request_id is None else str(request_id),
+                    )
                 )
-                threading.Thread(
-                    target=self._respond,
-                    args=(conn, slot, request_id),
-                    daemon=True,
-                ).start()
         except (OSError, ValueError):
             pass
         finally:

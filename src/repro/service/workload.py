@@ -56,6 +56,8 @@ __all__ = [
     "WorkloadPlan",
     "plan_workload",
     "request_fingerprint",
+    "resolve_single",
+    "resolve_workload",
 ]
 
 #: Bump on any change to workload hashing or planning semantics.
@@ -486,18 +488,83 @@ def plan_workload(
     )
 
 
+#: Bound on the shared resolution memo (cleared wholesale when full).
+RESOLVE_MEMO_LIMIT = 512
+
+#: Request shape -> resolution, shared by every router and service in
+#: the process.  Named-benchmark singles map to their
+#: ``(spec, options, fingerprint)`` triple, registered-benchmark
+#: workloads to their :class:`WorkloadPlan`; inline specs are never
+#: memoized (their identity is the whole JSON document).  Every entry
+#: is a pure function of its key, so sharing it across callers can
+#: only save work, never change an answer.
+_RESOLVE_MEMO: Dict[tuple, Any] = {}
+
+
+def _memoized(key: Optional[tuple], build):
+    """``build()``, cached under ``key`` unless ``key`` is None.
+
+    A ``build`` that raises caches nothing, so an unknown benchmark
+    fails the same way on every request.
+    """
+    if key is None:
+        return build()
+    hit = _RESOLVE_MEMO.get(key)
+    if hit is None:
+        hit = build()
+        if len(_RESOLVE_MEMO) >= RESOLVE_MEMO_LIMIT:
+            _RESOLVE_MEMO.clear()
+        _RESOLVE_MEMO[key] = hit
+    return hit
+
+
+def resolve_single(request) -> Tuple[Any, CompileOptions, str]:
+    """``(spec, options, fingerprint)`` of a proto:1 request.
+
+    Named benchmarks resolve once per (benchmark, grid, streams);
+    raises the underlying ``KeyError``/``ValueError`` on content.
+    """
+
+    def build():
+        spec, options = request.resolve_spec()
+        return spec, options, fingerprint(spec, options)
+
+    key = None
+    if request.benchmark is not None:
+        key = ("single", request.benchmark, request.grid,
+               request.streams)
+    return _memoized(key, build)
+
+
+def resolve_workload(request) -> WorkloadPlan:
+    """The :class:`WorkloadPlan` of a proto:2 request.
+
+    Registered-benchmark workloads plan once per
+    (:meth:`Workload.memo_key`, grid, streams); raises
+    :class:`WorkloadError` on a workload that cannot be planned.
+    """
+    workload = request.workload
+    memo_key = workload.memo_key()
+    key = None
+    if memo_key is not None:
+        key = ("workload", memo_key, request.grid, request.streams)
+    return _memoized(
+        key,
+        lambda: plan_workload(
+            workload, grid=request.grid, streams=request.streams
+        ),
+    )
+
+
 def request_fingerprint(request) -> str:
     """The routing/caching fingerprint of a typed Request.
 
     Legacy single-kernel requests keep their plan fingerprint; workload
-    requests hash the planned stage sequence.  Raises the underlying
-    resolution error (``KeyError``/``ValueError``/:class:`WorkloadError`)
-    for the caller to map onto an ``invalid`` response.
+    requests hash the planned stage sequence.  Both go through the
+    shared resolution memo.  Raises the underlying resolution error
+    (``KeyError``/``ValueError``/:class:`WorkloadError`) for the caller
+    to map onto an ``invalid`` response.
     """
-    workload = getattr(request, "workload", None)
-    if workload is None:
-        spec, options = request.resolve_spec()
-        return fingerprint(spec, options)
-    return plan_workload(
-        workload, grid=request.grid, streams=request.streams
-    ).fingerprint
+    if request.workload is None:
+        return resolve_single(request)[2]
+    return resolve_workload(request).fingerprint

@@ -366,12 +366,17 @@ class TestFabricAggregation:
                 wait_timeout=120,
             ).ok
             router._nodes[0].kill()
+            started = time.monotonic()
             per_node = router.collect_node_metrics(timeout_s=30)
+            elapsed = time.monotonic() - started
         finally:
             assert router.close(timeout=120)
         assert set(per_node) == {0, 1}
         assert per_node[0] is None
         assert per_node[1] is not None
+        # The dead node's pull fails when the node exits, not when the
+        # collection timeout runs out.
+        assert elapsed < 10.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 import threading
 import time
 
@@ -273,6 +274,72 @@ class TestScheduler:
         assert not slot.resolve({"status": "error"})
         assert slot.result()["status"] == "ok"
         assert sched.unresolved == 0
+
+    def test_done_callback_runs_once_after_drain_accounting(self):
+        sched = Scheduler()
+        slot = sched.make_slot()
+        calls = []
+        slot.add_done_callback(
+            lambda done: calls.append(
+                (done.result()["status"], sched.unresolved)
+            )
+        )
+        assert calls == []
+        assert slot.resolve({"status": "ok"})
+        assert not slot.resolve({"status": "error"})
+        # One call, made after the slot left the in-flight count.
+        assert calls == [("ok", 0)]
+
+    def test_done_callback_added_late_runs_inline(self):
+        slot = Scheduler().make_slot()
+        slot.resolve({"status": "ok"})
+        seen = []
+        slot.add_done_callback(
+            lambda done: seen.append(threading.get_ident())
+        )
+        assert seen == [threading.get_ident()]
+
+    def test_done_callback_runs_on_resolving_thread(self):
+        slot = Scheduler().make_slot()
+        seen = []
+        slot.add_done_callback(
+            lambda done: seen.append(threading.get_ident())
+        )
+        resolver = threading.Thread(
+            target=slot.resolve, args=({"status": "ok"},)
+        )
+        resolver.start()
+        resolver.join()
+        assert seen == [resolver.ident]
+
+    def test_concurrent_resolves_call_back_once(self):
+        """Resolvers racing each other and a late callback registration:
+        every callback still runs exactly once."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                slot = Scheduler().make_slot()
+                calls = []
+                slot.add_done_callback(lambda done: calls.append("early"))
+                racers = [
+                    threading.Thread(
+                        target=slot.resolve, args=({"status": s},)
+                    )
+                    for s in ("ok", "error", "timeout")
+                ]
+                racers.append(threading.Thread(
+                    target=slot.add_done_callback,
+                    args=(lambda done: calls.append("late"),),
+                ))
+                for racer in racers:
+                    racer.start()
+                for racer in racers:
+                    racer.join(timeout=10)
+                    assert not racer.is_alive()
+                assert sorted(calls) == ["early", "late"]
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestServiceApi:

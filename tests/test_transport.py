@@ -15,7 +15,8 @@ import time
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.service.proto import PROTO_VERSION
+from repro.service.proto import PROTO_VERSION, Response
+from repro.service.scheduler import ResultSlot
 from repro.service.transport import (
     HANDSHAKE_VERSION,
     BackoffPolicy,
@@ -287,37 +288,15 @@ class TestHeartbeat:
             Heartbeat(timeout_s=-1.0)
 
 
-class _Slot:
-    """A pre-resolved ResultSlot stand-in."""
-
-    def __init__(self, response):
-        self._response = response
-
-    def result(self, timeout=None):
-        return self._response
-
-
-class _EchoResponse:
-    def __init__(self, document):
-        self._document = document
-
-    def to_json(self):
-        return self._document
-
-
-def _echo_submit(line):
+def _echo_submit(document):
     """A fake service: echoes the request id back with status ok."""
-    document = json.loads(line)
-    return _Slot(
-        _EchoResponse(
-            {
-                "proto": PROTO_VERSION,
-                "id": document.get("id"),
-                "status": "ok",
-                "summary": {"echo": True},
-            }
+    slot = ResultSlot()
+    slot.resolve(
+        Response(
+            id=document.get("id"), status="ok", summary={"echo": True}
         )
     )
+    return slot
 
 
 class TestSocketServer:
@@ -432,6 +411,106 @@ class TestSocketServer:
                 assert conn.readline() == ""  # EOF, not a reply
             finally:
                 conn.close()
+
+
+class _DeferredService:
+    """A fake service whose slots resolve later, on one worker thread,
+    recording the process thread count at every submit and reply."""
+
+    def __init__(self):
+        self.pending = []
+        self.cond = threading.Condition()
+        self.thread_counts = []
+
+    def submit(self, document):
+        slot = ResultSlot()
+        with self.cond:
+            self.pending.append((document.get("id"), slot))
+            self.cond.notify_all()
+        self.thread_counts.append(threading.active_count())
+        return slot
+
+    def wait_for(self, count, timeout=10.0):
+        with self.cond:
+            assert self.cond.wait_for(
+                lambda: len(self.pending) >= count, timeout
+            )
+
+    def resolve_all(self):
+        for request_id, slot in self.pending:
+            slot.resolve(
+                Response(id=request_id, status="ok", summary={})
+            )
+            self.thread_counts.append(threading.active_count())
+
+
+class TestSocketServerReplies:
+    """Replies are written from the slot's done-callback."""
+
+    def test_pipelined_requests_spawn_no_threads(self):
+        service = _DeferredService()
+        n = 200
+        with SocketServer(service.submit) as server:
+            conn = connect_once(
+                server.address, Hello(node_id="cli", role="client")
+            )
+            try:
+                baseline = threading.active_count()
+                ids = [f"r{k}" for k in range(n)]
+                for request_id in ids:
+                    conn.send({"proto": PROTO_VERSION, "id": request_id})
+                service.wait_for(n)
+                resolver = threading.Thread(target=service.resolve_all)
+                resolver.start()
+                replies = [json.loads(conn.readline()) for _ in ids]
+                resolver.join()
+                # Each reply exactly once: all ids, no duplicates, and
+                # the next line after them is the pong, not a repeat.
+                assert sorted(r["id"] for r in replies) == sorted(ids)
+                conn.send({"control": "ping", "id": "hb-1"})
+                assert json.loads(conn.readline())["id"] == "hb-1"
+            finally:
+                conn.close()
+        assert len(service.thread_counts) == 2 * n
+        # Only the test's own resolver thread ever joins the baseline.
+        assert max(service.thread_counts) <= baseline + 1
+
+    def test_malformed_lines_get_the_service_invalid_reply(self):
+        from repro.service import ServiceConfig, StencilService
+
+        with StencilService(ServiceConfig(workers=1)) as service:
+            with SocketServer(service.submit) as server:
+                conn = connect_once(
+                    server.address, Hello(node_id="cli", role="client")
+                )
+                try:
+                    for line in ("{nope", "[1, 2]", '"text"'):
+                        conn._sock.sendall((line + "\n").encode())
+                        got = json.loads(conn.readline())
+                        want = service.submit_json(line).result(5.0)
+                        assert got == want.to_json()
+                        assert got["status"] == "invalid"
+                    # The connection keeps serving after bad lines.
+                    conn.send({"control": "metrics", "id": "m1"})
+                    reply = json.loads(conn.readline())
+                    assert reply["id"] == "m1"
+                    assert reply["status"] == "ok"
+                finally:
+                    conn.close()
+
+    def test_stop_wakes_the_accept_thread(self):
+        server = SocketServer(_echo_submit)
+        server.start()
+        conn = connect_once(
+            server.address, Hello(node_id="cli", role="client")
+        )
+        conn.send({"proto": PROTO_VERSION, "id": "r1"})
+        assert json.loads(conn.readline())["id"] == "r1"
+        conn.close()
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 1.0
+        assert not server._accept_thread.is_alive()
 
 
 class TestSocketConnection:

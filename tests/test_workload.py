@@ -40,7 +40,11 @@ from repro.service.workload import (
     WorkloadError,
     plan_workload,
     request_fingerprint,
+    resolve_single,
+    resolve_workload,
 )
+from repro.service import workload as workload_module
+from repro.service.fingerprint import fingerprint
 from repro.stencil.golden import golden_output_sequence, make_input
 from repro.stencil.kernels import DENOISE, get_benchmark
 
@@ -249,6 +253,131 @@ class TestPlanner:
         assert fp != request_fingerprint(single)
 
 
+# -- shared resolution memo ---------------------------------------------
+
+
+_GRAPH_WORKLOAD = {
+    "kind": "graph",
+    "nodes": [
+        {"id": "den", "benchmark": "DENOISE"},
+        {"id": "ric", "benchmark": "RICIAN"},
+    ],
+    "edges": [["den", "ric"]],
+}
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty resolution memo, private to one test."""
+    fresh = {}
+    monkeypatch.setattr(workload_module, "_RESOLVE_MEMO", fresh)
+    return fresh
+
+
+class TestResolveMemo:
+    def test_single_matches_fresh_fingerprint(self, memo):
+        req = Request.from_json(
+            {"proto": 1, "benchmark": "SOBEL", "grid": list(GRID)}
+        )
+        first = resolve_single(req)
+        spec, options = req.resolve_spec()
+        assert first[2] == fingerprint(spec, options)
+        assert first[0] == spec and first[1] == options
+        again = Request.from_json(
+            {"proto": 1, "benchmark": "SOBEL", "grid": list(GRID),
+             "seed": 99}
+        )
+        assert resolve_single(again) is first  # one entry per shape
+        assert len(memo) == 1
+        assert request_fingerprint(again) == first[2]
+
+    @pytest.mark.parametrize("workload", [
+        {"kind": "single", "benchmark": "DENOISE"},
+        {"kind": "iterate", "benchmark": "DENOISE", "steps": 4},
+        _GRAPH_WORKLOAD,
+    ])
+    def test_workload_matches_fresh_plan(self, memo, workload):
+        wire = {"proto": 2, "workload": workload, "grid": list(GRID)}
+        req = Request.from_json(wire)
+        plan = resolve_workload(req)
+        fresh = plan_workload(req.workload, grid=req.grid)
+        assert plan.fingerprint == fresh.fingerprint
+        assert [s.fingerprint for s in plan.stages] == [
+            s.fingerprint for s in fresh.stages
+        ]
+        assert resolve_workload(Request.from_json(wire)) is plan
+        assert len(memo) == 1
+        assert request_fingerprint(req) == fresh.fingerprint
+
+    def test_streams_and_grid_are_part_of_the_key(self, memo):
+        fps = {
+            request_fingerprint(Request.from_json(
+                {"proto": 1, "benchmark": "SOBEL", "grid": grid,
+                 "streams": streams}
+            ))
+            for grid in ([10, 12], [12, 14])
+            for streams in (1, 2)
+        }
+        assert len(fps) == len(memo) == 4
+
+    def test_inline_specs_bypass_the_memo(self, memo):
+        spec = DENOISE.with_grid(GRID).to_json()
+        single = Request.from_json({"proto": 1, "spec": spec})
+        iterate = Request.from_json({
+            "proto": 2,
+            "workload": {"kind": "iterate", "spec": spec, "steps": 2},
+        })
+        assert resolve_single(single) is not resolve_single(single)
+        assert resolve_workload(iterate) is not resolve_workload(iterate)
+        assert memo == {}
+        named = Request.from_json(
+            {"proto": 1, "benchmark": "DENOISE", "grid": list(GRID)}
+        )
+        assert request_fingerprint(single) == request_fingerprint(named)
+
+    def test_memo_stays_bounded(self, memo, monkeypatch):
+        monkeypatch.setattr(workload_module, "RESOLVE_MEMO_LIMIT", 8)
+        for rows in range(8, 8 + 30):
+            request_fingerprint(Request.from_json(
+                {"proto": 1, "benchmark": "SOBEL", "grid": [rows, 12]}
+            ))
+            assert len(memo) <= 8
+        assert len(memo) > 0
+
+    def test_resolution_errors_are_not_cached(self, memo):
+        bad_single = Request.from_json(
+            {"proto": 1, "benchmark": "NOPE", "grid": list(GRID)}
+        )
+        bad_workload = Request.from_json({
+            "proto": 2,
+            "workload": {"kind": "iterate", "benchmark": "NOPE",
+                         "steps": 2},
+        })
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                resolve_single(bad_single)
+            with pytest.raises(WorkloadError):
+                resolve_workload(bad_workload)
+        assert memo == {}
+
+    def test_unknown_benchmark_is_invalid_on_the_service(self, memo):
+        with StencilService(ServiceConfig(workers=1)) as service:
+            for _ in range(2):
+                single = service.submit(
+                    {"proto": 1, "benchmark": "NOPE"}
+                ).result(timeout=10)
+                assert single.status == "invalid"
+                assert single.error.kind == "bad_request"
+                assert "NOPE" in single.error.detail
+                workload = service.submit({
+                    "proto": 2,
+                    "workload": {"kind": "single", "benchmark": "NOPE"},
+                }).result(timeout=10)
+                assert workload.status == "invalid"
+                assert workload.error.kind == "bad_workload"
+        assert memo == {}
+
+
 # -- service end to end -------------------------------------------------
 
 
@@ -417,6 +546,37 @@ class TestServiceWorkloads:
 
 @pytest.mark.slow
 class TestRoutedWorkloads:
+    def test_unknown_benchmark_is_invalid_on_the_router(
+        self, tmp_path, memo
+    ):
+        from repro.service.router import (
+            NodeConfig,
+            Router,
+            RouterConfig,
+        )
+
+        config = RouterConfig(
+            nodes=1,
+            node=NodeConfig(workers=1, cache_dir=str(tmp_path)),
+        )
+        router = Router(config).start()
+        try:
+            for _ in range(2):
+                single = router.handle(
+                    {"proto": 1, "benchmark": "NOPE"}, wait_timeout=30
+                )
+                assert single.status == "invalid"
+                assert single.error.kind == "bad_request"
+                workload = router.handle({
+                    "proto": 2,
+                    "workload": {"kind": "single", "benchmark": "NOPE"},
+                }, wait_timeout=30)
+                assert workload.status == "invalid"
+                assert workload.error.kind == "bad_workload"
+            assert memo == {}
+        finally:
+            assert router.close(timeout=60)
+
     def test_router_routes_workloads_to_nodes(self, tmp_path):
         from repro.service.router import (
             NodeConfig,
