@@ -6,7 +6,10 @@ Not a paper artifact; it keeps the reproduction's own engineering
 honest (regressions in the simulator or the flow show up here).
 """
 
+import time
+
 import numpy as np
+import pytest
 
 from conftest import emit
 
@@ -27,34 +30,36 @@ SIM_GRIDS = {
 }
 
 
-def _simulate(spec):
+def _simulate(spec, run_seconds):
+    """One golden-checked run; appends its simulation wall time."""
     grid = make_input(spec)
     system = build_memory_system(spec.analysis())
+    start = time.perf_counter()
     result = ChainSimulator(spec, system, grid).run()
-    assert np.allclose(
+    run_seconds.append(time.perf_counter() - start)
+    assert np.array_equal(
         result.output_values(), golden_output_sequence(spec, grid)
     )
     return result
 
 
-def bench_sim_denoise(benchmark):
-    spec = PAPER_BENCHMARKS[0].with_grid(SIM_GRIDS["DENOISE"])
-    result = benchmark(_simulate, spec)
-    assert result.stats.outputs_produced > 0
-
-
-def bench_sim_sobel(benchmark):
-    spec = PAPER_BENCHMARKS[2].with_grid(SIM_GRIDS["SOBEL"])
-    result = benchmark(_simulate, spec)
-    assert result.stats.outputs_produced > 0
-
-
-def bench_sim_segmentation_3d(benchmark):
-    spec = PAPER_BENCHMARKS[5].with_grid(
-        SIM_GRIDS["SEGMENTATION_3D"]
+@pytest.mark.parametrize(
+    "spec",
+    [s.with_grid(SIM_GRIDS[s.name]) for s in PAPER_BENCHMARKS],
+    ids=lambda s: s.name,
+)
+def bench_sim(benchmark, spec):
+    run_seconds = []
+    result = benchmark(_simulate, spec, run_seconds)
+    assert result.stats.outputs_produced == spec.iteration_domain.count()
+    cycles = result.stats.total_cycles
+    best = min(run_seconds)
+    emit(
+        f"Simulator throughput — {spec.name} "
+        f"{'x'.join(map(str, spec.grid))}",
+        f"{cycles} cycles in {best * 1e3:.2f} ms (fastest run): "
+        f"{cycles / best:,.0f} cycles/s",
     )
-    result = benchmark(_simulate, spec)
-    assert result.stats.outputs_produced > 0
 
 
 def bench_flow_compile_all(benchmark):

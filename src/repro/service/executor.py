@@ -251,10 +251,11 @@ def validate_plan(
     Structural fields are compared first (cheap, catches reordered or
     dropped filters, wrong bank counts, corrupted buffer totals); the
     chain is then cycle-simulated with the *cached* FIFO depths, which
-    catches depth corruption as a deadlock or a divergence from the
-    golden reference.  Raises :class:`PlanValidationError` on any
-    mismatch; process-pool workers run this too, so it touches no
-    registry — callers count successes/failures themselves.
+    catches depth corruption as a deadlock or as outputs that are not
+    bit-identical to the golden reference.  Raises
+    :class:`PlanValidationError` on any mismatch; process-pool workers
+    run this too, so it touches no registry — callers count
+    successes/failures themselves.
     """
     with span(
         "service.validate",
@@ -307,7 +308,11 @@ def validate_plan(
                 "cached plan deadlocks the chain (condition 2 "
                 f"violated): {exc}"
             ) from exc
-        if not np.allclose(result.output_values(), golden):
+        # Bit-exact, like the compiled kernel's check: the chain's
+        # scalar ops are the golden path's IEEE ops in the same order.
+        if not np.array_equal(
+            result.output_values(), golden, equal_nan=True
+        ):
             raise PlanValidationError(
                 "cycle-sim outputs diverge from the golden "
                 "reference under the cached FIFO depths"

@@ -23,7 +23,7 @@ Section 3.3.2 (violating either condition makes this trip).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,6 +163,7 @@ class ChainSimulator:
                     stream=stream,
                 )
             )
+        self._plan = _splitter_plan(self._filters, self._segments)
         self._kernel = SimKernel(
             references=[f.reference for f in self._filters],
             expression=spec.expression,
@@ -189,19 +190,20 @@ class ChainSimulator:
             benchmark=self.spec.name,
             grid="x".join(str(g) for g in self.spec.grid),
         ):
-            while (
-                self._kernel.consumed_iterations < self._expected_outputs
-            ):
+            kernel = self._kernel
+            expected = self._expected_outputs
+            streams = [seg.stream for seg in self._segments]
+            while kernel.consumed_iterations < expected:
                 self.cycle += 1
                 if self.cycle > max_cycles:
                     raise RuntimeError(
                         f"simulation exceeded {max_cycles} cycles with "
-                        f"{self._kernel.consumed_iterations}/"
-                        f"{self._expected_outputs} outputs"
+                        f"{kernel.consumed_iterations}/"
+                        f"{expected} outputs"
                     )
-                waiting = any(
-                    seg.stream.waiting for seg in self._segments
-                )
+                # Before the step ticks the streams: a stream still
+                # serving its latency is progress to come.
+                waiting = any(stream.waiting for stream in streams)
                 progress = self._step()
                 if not progress and not waiting:
                     raise DeadlockError(self._deadlock_report())
@@ -210,55 +212,23 @@ class ChainSimulator:
     # ------------------------------------------------------------------
     def _step(self) -> bool:
         """One clock cycle; returns True if any module fired."""
-        progress = False
-        accepted: Dict[int, bool] = {}
         if self._bus is not None:
             self._bus.begin_cycle()
 
         # Phase 1: the kernel consumes all ports if possible.
-        if self._kernel.try_fire(self._filters, self.cycle):
-            progress = True
+        fired = self._kernel.try_fire(self._filters, self.cycle)
 
-        # Phase 2: splitters, downstream to upstream per segment.
-        streamed_label: Optional[str] = None
-        for seg in self._segments:
-            for k in range(seg.last, seg.first - 1, -1):
-                flt = self._filters[k]
-                if not flt.ready:
-                    accepted[k] = False
-                    continue
-                upstream = seg.upstream_of(k)
-                if upstream is None:
-                    accepted[k] = False
-                    continue
-                fifo_out = seg.fifo_after(k)
-                if fifo_out is not None and fifo_out.full:
-                    accepted[k] = False
-                    continue
-                element = seg.pop_upstream(k)
-                if fifo_out is not None:
-                    fifo_out.push(element)
-                flt.accept(element)
-                accepted[k] = True
-                progress = True
-                if seg is self._segments[0] and k == seg.first:
-                    streamed_label = _element_label(
-                        self.spec.input_array, element
-                    )
-
-        # End of cycle: one latency cycle of each stream elapses.
-        for seg in self._segments:
-            seg.stream.tick()
-
-        # Phase 3: statuses for filters that got no input.
-        for k, flt in enumerate(self._filters):
-            if not accepted.get(k, False):
-                flt.mark_no_input()
+        # Phases 2-3: splitters, stream ticks, idle/stall statuses.
+        moved, streamed = _splitter_phase(self._plan)
 
         if self.trace is not None:
             self.trace.record(
                 cycle=self.cycle,
-                stream_label=streamed_label,
+                stream_label=(
+                    _element_label(self.spec.input_array, streamed)
+                    if streamed is not None
+                    else None
+                ),
                 filter_statuses=[f.status for f in self._filters],
                 fifo_occupancy={
                     f.fifo_id: len(f)
@@ -266,6 +236,7 @@ class ChainSimulator:
                     for f in seg.fifos
                 },
             )
+        progress = fired or moved
         if self._probe is not None:
             self._probe.on_cycle(self, progress)
         return progress
@@ -365,22 +336,94 @@ class _SegmentRuntime:
         self.fifos = fifos
         self.stream = stream
 
-    def upstream_of(self, k: int) -> Optional[object]:
-        """The data source feeding splitter ``k`` if it has data."""
-        if k == self.first:
-            return self.stream if self.stream.available else None
-        fifo = self.fifos[k - self.first - 1]
-        return fifo if not fifo.empty else None
 
-    def fifo_after(self, k: int) -> Optional[SimFifo]:
-        if k == self.last:
-            return None
-        return self.fifos[k - self.first]
+#: One splitter of a segment: ``(filter, upstream queue, next FIFO,
+#: next FIFO's queue)``.  The first splitter's upstream is the segment's
+#: stream (``None`` here); the last splitter has no next FIFO.
+SplitterStep = Tuple[
+    SimFilter, Optional[Deque[Element]], Optional[SimFifo],
+    Optional[Deque[Element]],
+]
+#: Per segment, its stream and its splitters, downstream to upstream.
+SplitterPlan = List[Tuple[DataStream, List[SplitterStep]]]
 
-    def pop_upstream(self, k: int) -> Element:
-        if k == self.first:
-            return self.stream.pop()
-        return self.fifos[k - self.first - 1].pop()
+
+def _splitter_plan(
+    filters: Sequence[SimFilter], segments: Sequence[_SegmentRuntime]
+) -> SplitterPlan:
+    """Each segment's splitter walk for :func:`_splitter_phase`."""
+    plan: SplitterPlan = []
+    for seg in segments:
+        steps: List[SplitterStep] = []
+        for k in range(seg.last, seg.first - 1, -1):
+            fifo_in = (
+                None if k == seg.first else seg.fifos[k - seg.first - 1]
+            )
+            fifo_out = None if k == seg.last else seg.fifos[k - seg.first]
+            steps.append((
+                filters[k],
+                None if fifo_in is None else fifo_in._queue,
+                fifo_out,
+                None if fifo_out is None else fifo_out._queue,
+            ))
+        plan.append((seg.stream, steps))
+    return plan
+
+
+def _splitter_phase(plan: SplitterPlan) -> Tuple[bool, Optional[Element]]:
+    """Phases 2-3 of a cycle, shared by every chain simulator.
+
+    Splitter ``k`` fires when its filter's pending slot is free, its
+    upstream has data and its next FIFO (if any) has space; it then
+    moves one element into that FIFO and through filter ``k``.  A
+    filter that receives nothing is stalled if its slot is full and
+    idle otherwise.  Each segment's stream ticks one latency cycle
+    after its splitters.
+
+    ``SimFifo.push``/``pop``, ``SimFilter.accept`` and
+    ``SimFilter.mark_no_input`` are inlined: the guards just evaluated
+    rule out the overflow, empty-pop and accept-while-stalled errors
+    and decide the no-input status.  Returns whether any splitter fired
+    and the element the first segment's stream delivered (or None).
+    """
+    moved = False
+    streamed: Optional[Element] = None
+    first_stream = plan[0][0]
+    for stream, steps in plan:
+        for flt, in_queue, fifo_out, out_queue in steps:
+            if flt.pending is not None:
+                flt.status = SimFilter.STALLED
+                flt.stalled_cycles += 1
+                continue
+            if (
+                not (stream.available if in_queue is None else in_queue)
+                or out_queue is not None
+                and len(out_queue) >= fifo_out.capacity
+            ):
+                flt.status = SimFilter.IDLE
+                continue
+            if in_queue is None:
+                element = stream.pop()
+                if stream is first_stream:
+                    streamed = element
+            else:
+                element = in_queue.popleft()
+            if out_queue is not None:
+                out_queue.append(element)
+                fifo_out.total_pushes += 1
+                if len(out_queue) > fifo_out.max_occupancy:
+                    fifo_out.max_occupancy = len(out_queue)
+            if element[0] == flt._next_output:
+                flt.pending = element
+                flt._next_output = next(flt._output_iter, None)
+                flt.forwarded += 1
+                flt.status = SimFilter.FORWARDING
+            else:
+                flt.discarded += 1
+                flt.status = SimFilter.DISCARDING
+            moved = True
+        stream.tick()
+    return moved, streamed
 
 
 def _element_label(array: str, element: Element) -> str:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from operator import sub
+from typing import Deque, Iterator, List, Optional, Tuple
 
 from ..polyhedral.access import ArrayReference
 from ..polyhedral.domain import IntegerPolyhedron
@@ -180,39 +182,40 @@ class SimKernel:
         expression,
         latency: int = 4,
     ) -> None:
-        from ..stencil.expr import evaluate  # local to avoid cycles
+        from ..stencil.expr import compile_scalar  # local to avoid cycles
 
         if latency < 0:
             raise ValueError("kernel latency must be >= 0")
         self._references = references
-        self._expression = expression
-        self._evaluate = evaluate
+        self._compute = compile_scalar(
+            expression,
+            {
+                (ref.array, ref.offset): port
+                for port, ref in enumerate(references)
+            },
+        )
+        #: Every port's offset, concatenated: ``point - offset`` for all
+        #: ports at once must repeat one iteration ``len(ports)`` times.
+        self._offsets = [c for ref in references for c in ref.offset]
+        self._dims = len(references[0].offset) if references else 0
         self.latency = latency
         self.outputs: List[KernelOutput] = []
         self.consumed_iterations = 0
 
     def try_fire(self, filters: List[SimFilter], cycle: int) -> bool:
         """Fire if every port has valid data; returns True on fire."""
-        if any(f.pending is None for f in filters):
+        pending = [flt.pending for flt in filters]
+        if None in pending:
             return False
-        env: Dict[Tuple[str, Vector], float] = {}
-        iteration: Optional[Vector] = None
-        for ref, flt in zip(self._references, filters):
-            point, value = flt.take_pending()
-            derived = tuple(
-                p - o for p, o in zip(point, ref.offset)
-            )
-            if iteration is None:
-                iteration = derived
-            elif iteration != derived:
-                raise AssertionError(
-                    "filter ports disagree on the loop iteration: "
-                    f"{iteration} vs {derived} at port {flt.filter_id} "
-                    f"({ref.label})"
-                )
-            env[(ref.array, ref.offset)] = value
-        assert iteration is not None
-        value = float(self._evaluate(self._expression, env))
+        points, values = zip(*pending)
+        derived = list(map(sub, chain.from_iterable(points), self._offsets))
+        head = derived[: self._dims]
+        if derived != head * len(filters):
+            self._port_mismatch(filters, points)
+        for flt in filters:
+            flt.pending = None
+        iteration = tuple(head)
+        value = float(self._compute(values))
         self.outputs.append(
             KernelOutput(
                 iteration=iteration,
@@ -223,3 +226,21 @@ class SimKernel:
         )
         self.consumed_iterations += 1
         return True
+
+    def _port_mismatch(
+        self, filters: List[SimFilter], points: Tuple[Vector, ...]
+    ) -> None:
+        """Raise for the first port whose iteration differs from port
+        0's, having consumed the ports up to it."""
+        iteration: Optional[Vector] = None
+        for ref, flt, point in zip(self._references, filters, points):
+            flt.pending = None
+            derived = tuple(map(sub, point, ref.offset))
+            if iteration is None:
+                iteration = derived
+            elif iteration != derived:
+                raise AssertionError(
+                    "filter ports disagree on the loop iteration: "
+                    f"{iteration} vs {derived} at port {flt.filter_id} "
+                    f"({ref.label})"
+                )

@@ -21,6 +21,8 @@ from .engine import (
     SimulationResult,
     SimulationStats,
     _SegmentRuntime,
+    _splitter_plan,
+    _splitter_phase,
 )
 from .modules import SimFifo, SimFilter, SimKernel
 from .stream import DataStream
@@ -90,6 +92,10 @@ class MultiArraySimulator:
                     )
                 )
             self._chains.append((array, segments, filter_ids))
+        self._plan = _splitter_plan(
+            self._filters,
+            [seg for _, segments, _ in self._chains for seg in segments],
+        )
         self._kernel = SimKernel(
             references=references,
             expression=spec.expression,
@@ -126,35 +132,8 @@ class MultiArraySimulator:
         return self._result()
 
     def _step(self) -> bool:
-        progress = False
-        accepted: Dict[int, bool] = {}
-        if self._kernel.try_fire(self._filters, self.cycle):
-            progress = True
-        for _, segments, _ in self._chains:
-            for seg in segments:
-                for k in range(seg.last, seg.first - 1, -1):
-                    flt = self._filters[k]
-                    if not flt.ready:
-                        accepted[k] = False
-                        continue
-                    upstream = seg.upstream_of(k)
-                    if upstream is None:
-                        accepted[k] = False
-                        continue
-                    fifo_out = seg.fifo_after(k)
-                    if fifo_out is not None and fifo_out.full:
-                        accepted[k] = False
-                        continue
-                    element = seg.pop_upstream(k)
-                    if fifo_out is not None:
-                        fifo_out.push(element)
-                    flt.accept(element)
-                    accepted[k] = True
-                    progress = True
-                seg.stream.tick()
-        for k, flt in enumerate(self._filters):
-            if not accepted.get(k, False):
-                flt.mark_no_input()
+        fired = self._kernel.try_fire(self._filters, self.cycle)
+        moved, _ = _splitter_phase(self._plan)
         if self.trace is not None:
             self.trace.record(
                 cycle=self.cycle,
@@ -167,7 +146,7 @@ class MultiArraySimulator:
                     for f in seg.fifos
                 },
             )
-        return progress
+        return fired or moved
 
     def _result(self) -> SimulationResult:
         outputs = [(o.iteration, o.value) for o in self._kernel.outputs]

@@ -16,9 +16,18 @@ the original C (``0.2 * (c + n + s + e + w)``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..polyhedral.lexorder import Vector, as_vector
 
@@ -30,6 +39,7 @@ BINARY_OPS = ("add", "sub", "mul", "div", "min", "max")
 UNARY_OPS = ("neg", "abs", "sqrt")
 
 _OP_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+_NUMPY_FUNCTIONS = {"min": "minimum", "max": "maximum"}
 
 
 class Expr:
@@ -209,6 +219,16 @@ def count_operations(expr: Expr) -> Dict[str, int]:
     return counts
 
 
+def _sqrt(value):
+    """``math.sqrt`` on scalars, ``np.sqrt`` on arrays."""
+    try:
+        return math.sqrt(value)  # type: ignore[arg-type]
+    except TypeError:
+        import numpy as np
+
+        return np.sqrt(value)
+
+
 def evaluate(expr: Expr, env: Mapping[Tuple[str, Vector], object]):
     """Evaluate the tree with values (scalars or NumPy arrays) bound to
     each ``(array, offset)`` reference."""
@@ -226,12 +246,7 @@ def evaluate(expr: Expr, env: Mapping[Tuple[str, Vector], object]):
         if expr.op == "abs":
             return abs(value)
         if expr.op == "sqrt":
-            try:
-                return math.sqrt(value)  # type: ignore[arg-type]
-            except TypeError:
-                import numpy as np
-
-                return np.sqrt(value)
+            return _sqrt(value)
         raise ValueError(f"unknown unary op {expr.op!r}")
     if isinstance(expr, BinOp):
         left = evaluate(expr.left, env)
@@ -251,6 +266,99 @@ def evaluate(expr: Expr, env: Mapping[Tuple[str, Vector], object]):
             return fn(left, right)
         raise ValueError(f"unknown binary op {expr.op!r}")
     raise TypeError(f"unknown expression node {expr!r}")
+
+
+def compile_scalar(
+    expr: Expr, slots: Mapping[Tuple[str, Vector], int]
+) -> Callable[[Sequence[object]], object]:
+    """Compile the tree once into a function of port-indexed values.
+
+    ``slots`` maps each ``(array, offset)`` reference to its index in
+    the value sequence the returned closure is called with.  The closure
+    is straight-line code doing :func:`evaluate`'s operations in the
+    same post-order with the same functions, so ``fn(values)`` is
+    bit-identical to ``evaluate(expr, env)`` with ``env[key] =
+    values[slots[key]]``.  A reference with no slot raises the same
+    ``KeyError`` when the closure runs, at the same point of the
+    evaluation order.
+    """
+    import numpy as np
+
+    free: Dict[str, object] = {
+        "minimum": np.minimum,
+        "maximum": np.maximum,
+        "sqrt": _sqrt,
+    }
+    body: List[str] = []
+
+    def bind(value: object) -> str:
+        name = f"k{len(free)}"
+        free[name] = value
+        return name
+
+    def emit(node: Expr) -> str:
+        """Operand text for ``node``; inner nodes become temporaries."""
+        if isinstance(node, Const):
+            return bind(node.value)
+        if isinstance(node, Ref):
+            slot = slots.get((node.array, node.offset))
+            if slot is not None:
+                return f"values[{int(slot)}]"
+            # A statement of its own, so it raises at its post-order
+            # position rather than when its parent's operands load.
+            code = f"{bind(_unbound(node))}()"
+        elif isinstance(node, UnOp):
+            operand = emit(node.operand)
+            if node.op == "neg":
+                code = f"-{operand}"
+            elif node.op in ("abs", "sqrt"):
+                code = f"{node.op}({operand})"
+            else:
+                raise ValueError(f"unknown unary op {node.op!r}")
+        elif isinstance(node, BinOp):
+            left = emit(node.left)
+            right = emit(node.right)
+            if node.op in _OP_SYMBOLS:
+                code = f"{left} {_OP_SYMBOLS[node.op]} {right}"
+            elif node.op in _NUMPY_FUNCTIONS:
+                code = f"{_NUMPY_FUNCTIONS[node.op]}({left}, {right})"
+            else:
+                raise ValueError(f"unknown binary op {node.op!r}")
+        else:
+            raise TypeError(f"unknown expression node {node!r}")
+        temp = f"t{len(body)}"
+        body.append(f"{temp} = {code}")
+        return temp
+
+    result = emit(expr)
+    source = "".join(
+        [f"def make({', '.join(free)}):\n", "    def kernel(values):\n"]
+        + [f"        {line}\n" for line in body]
+        + [f"        return {result}\n", "    return kernel\n"]
+    )
+    return _kernel_factory(source)(**free)
+
+
+@functools.lru_cache(maxsize=256)
+def _kernel_factory(source: str) -> Callable[..., Callable]:
+    """The ``make`` function :func:`compile_scalar` generated.
+
+    The source holds only names and slot indices, so every expression
+    of one shape shares it; caching it skips Python's compiler, which
+    costs more than a small simulation run.
+    """
+    namespace: Dict[str, object] = {}
+    exec(source, namespace)
+    return namespace["make"]  # type: ignore[return-value]
+
+
+def _unbound(ref: Ref) -> Callable[[], object]:
+    """A stand-in for a reference :func:`compile_scalar` has no slot for."""
+
+    def missing() -> object:
+        raise KeyError(f"no value bound for reference {ref}")
+
+    return missing
 
 
 def depth(expr: Expr) -> int:

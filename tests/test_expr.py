@@ -1,17 +1,23 @@
 """Unit tests for the kernel expression AST."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.stencil.expr import (
+    BINARY_OPS,
+    UNARY_OPS,
     BinOp,
     Const,
     Ref,
     UnOp,
     absolute,
     collect_refs,
+    compile_scalar,
     count_operations,
     depth,
     evaluate,
@@ -154,3 +160,114 @@ class TestCSource:
         e = Ref((0, 0)) + 1
         assert "A" in str(e)
         assert "+" in str(e)
+
+
+#: References the generated expressions draw from; a random subset of
+#: them gets a value slot, so unbound references are exercised too.
+_REFS = [Ref((0, 0)), Ref((0, 1)), Ref((-1, 0)), Ref((1, 0), "B")]
+
+
+def _nan_with_payload(payload: int, negative: bool) -> float:
+    bits = 0x7FF0000000000000 | payload | (negative << 63)
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 4.0]),
+    st.builds(
+        _nan_with_payload, st.integers(1, 2**52 - 1), st.booleans()
+    ),
+)
+
+_EXPRS = st.recursive(
+    st.one_of(st.sampled_from(_REFS), st.builds(Const, _FLOATS)),
+    lambda inner: st.one_of(
+        st.builds(BinOp, st.sampled_from(BINARY_OPS), inner, inner),
+        st.builds(UnOp, st.sampled_from(UNARY_OPS), inner),
+    ),
+    max_leaves=24,
+)
+
+
+def _two_nans_meet(expr, env) -> bool:
+    """True if some ``+ - * /`` in the tree gets two Python-float NaNs.
+
+    CPython (3.11+) specializes float arithmetic in the interpreter
+    loop, and the specialized and generic paths hand the operands to
+    the FPU in opposite orders, so which of two NaN payloads survives
+    depends on how warm that bytecode is -- for :func:`evaluate` as
+    much as for a compiled closure.  Only such results are compared as
+    "both NaN" rather than bit for bit.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, UnOp):
+            stack.append(node.operand)
+        elif isinstance(node, BinOp):
+            stack += [node.left, node.right]
+            if node.op in ("add", "sub", "mul", "div"):
+                operands = [
+                    evaluate(node.left, env),
+                    evaluate(node.right, env),
+                ]
+                if all(
+                    type(v) is float and math.isnan(v) for v in operands
+                ):
+                    return True
+    return False
+
+
+def _outcome(compute):
+    """The value's type and bits, or the exception's type and text."""
+    try:
+        with np.errstate(all="ignore"):
+            value = compute()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return ("raised", type(exc), str(exc))
+    return ("value", type(value), struct.pack("d", value))
+
+
+class TestCompileScalar:
+    @given(
+        _EXPRS,
+        st.lists(_FLOATS, min_size=len(_REFS), max_size=len(_REFS)),
+        st.lists(st.booleans(), min_size=len(_REFS), max_size=len(_REFS)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_to_evaluate(self, expr, values, bound):
+        slots = {}
+        env = {}
+        for port, (ref, value, keep) in enumerate(
+            zip(_REFS, values, bound)
+        ):
+            if keep:
+                slots[(ref.array, ref.offset)] = port
+                env[(ref.array, ref.offset)] = value
+        compiled = compile_scalar(expr, slots)
+        got = _outcome(lambda: compiled(values))
+        want = _outcome(lambda: evaluate(expr, env))
+        if got != want and want[0] == "value" and _two_nans_meet(expr, env):
+            got_value = struct.unpack("d", got[2])[0]
+            want_value = struct.unpack("d", want[2])[0]
+            assert got[1] is want[1]
+            assert math.isnan(got_value) and math.isnan(want_value)
+        else:
+            assert got == want
+
+    def test_nan_operand_order_of_min_max(self):
+        quiet = _nan_with_payload(1 << 51 | 5, False)
+        other = _nan_with_payload(1 << 51 | 9, True)
+        expr = minimum(Ref((0, 0)), Ref((0, 1)))
+        slots = {("A", (0, 0)): 0, ("A", (0, 1)): 1}
+        env = {("A", (0, 0)): quiet, ("A", (0, 1)): other}
+        got = compile_scalar(expr, slots)([quiet, other])
+        want = evaluate(expr, env)
+        assert struct.pack("d", got) == struct.pack("d", want)
+
+    def test_unbound_reference_raises_when_run(self):
+        expr = Ref((0, 0)) + Ref((2, 2))
+        compiled = compile_scalar(expr, {("A", (0, 0)): 0})
+        with pytest.raises(KeyError, match="no value bound"):
+            compiled([1.0])

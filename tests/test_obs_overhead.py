@@ -2,18 +2,17 @@
 
 The contract: with no probe attached, :class:`ChainSimulator` pays one
 attribute check per cycle.  This test measures that cost against a
-baseline simulator whose ``_step`` is the pre-instrumentation loop
-(verbatim, minus the probe hook) and asserts the slowdown stays within
+baseline simulator whose ``_step`` is the current loop (verbatim,
+minus the probe hook) and asserts the slowdown stays within
 5% plus a small absolute allowance that absorbs timer jitter on a busy
 CI machine.  Trials are interleaved and the minimum per variant is
 used, which cancels transient load almost entirely.
 """
 
 import time
-from typing import Dict, Optional
 
 from repro.microarch.memory_system import build_memory_system
-from repro.sim.engine import ChainSimulator, _element_label
+from repro.sim.engine import ChainSimulator, _element_label, _splitter_phase
 from repro.stencil.golden import make_input
 from repro.stencil.kernels import DENOISE
 
@@ -27,54 +26,24 @@ ABS_BUDGET_S = 1e-3
 
 
 class _BaselineSimulator(ChainSimulator):
-    """The cycle loop exactly as it was without probe plumbing."""
+    """The cycle loop exactly as it is, minus the probe hook."""
 
     def _step(self) -> bool:
-        progress = False
-        accepted: Dict[int, bool] = {}
         if self._bus is not None:
             self._bus.begin_cycle()
 
-        if self._kernel.try_fire(self._filters, self.cycle):
-            progress = True
+        fired = self._kernel.try_fire(self._filters, self.cycle)
 
-        streamed_label: Optional[str] = None
-        for seg in self._segments:
-            for k in range(seg.last, seg.first - 1, -1):
-                flt = self._filters[k]
-                if not flt.ready:
-                    accepted[k] = False
-                    continue
-                upstream = seg.upstream_of(k)
-                if upstream is None:
-                    accepted[k] = False
-                    continue
-                fifo_out = seg.fifo_after(k)
-                if fifo_out is not None and fifo_out.full:
-                    accepted[k] = False
-                    continue
-                element = seg.pop_upstream(k)
-                if fifo_out is not None:
-                    fifo_out.push(element)
-                flt.accept(element)
-                accepted[k] = True
-                progress = True
-                if seg is self._segments[0] and k == seg.first:
-                    streamed_label = _element_label(
-                        self.spec.input_array, element
-                    )
-
-        for seg in self._segments:
-            seg.stream.tick()
-
-        for k, flt in enumerate(self._filters):
-            if not accepted.get(k, False):
-                flt.mark_no_input()
+        moved, streamed = _splitter_phase(self._plan)
 
         if self.trace is not None:
             self.trace.record(
                 cycle=self.cycle,
-                stream_label=streamed_label,
+                stream_label=(
+                    _element_label(self.spec.input_array, streamed)
+                    if streamed is not None
+                    else None
+                ),
                 filter_statuses=[f.status for f in self._filters],
                 fifo_occupancy={
                     f.fifo_id: len(f)
@@ -82,7 +51,7 @@ class _BaselineSimulator(ChainSimulator):
                     for f in seg.fifos
                 },
             )
-        return progress
+        return fired or moved
 
 
 def _timed_run(sim_cls, spec, system, grid) -> float:

@@ -10,6 +10,7 @@ its first output and the whole chain streams at full rate.
 import pytest
 
 from repro.microarch.memory_system import build_memory_system
+from repro.sim import engine
 from repro.sim.engine import ChainSimulator
 from repro.sim.modules import SimFilter
 from repro.sim.trace import TraceRecorder
@@ -114,6 +115,16 @@ class TestTraceContent:
     def test_invalid_max_cycles(self):
         with pytest.raises(ValueError):
             TraceRecorder(max_cycles=0)
+
+    def test_untraced_run_builds_no_labels(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("trace label built with no recorder")
+
+        monkeypatch.setattr(engine, "_element_label", refuse)
+        spec = DENOISE.with_grid((12, 16))
+        system = build_memory_system(spec.analysis())
+        result = ChainSimulator(spec, system, make_input(spec)).run()
+        assert result.trace is None
 
 
 class TestRendering:
