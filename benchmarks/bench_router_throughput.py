@@ -19,6 +19,7 @@ import time
 
 from conftest import emit
 
+from repro.lower.engine import LoweringConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer, install_tracer, uninstall_tracer
 from repro.service.router import NodeConfig, Router, RouterConfig
@@ -137,7 +138,7 @@ def _backend_campaign(tmp_path, backend, converter="numpy"):
         node=NodeConfig(
             workers=1,
             backend=backend,
-            converter=converter,
+            lowering=LoweringConfig(converter=converter),
             cache_dir=str(tmp_path / f"cache-{tag}"),
         ),
     )

@@ -18,6 +18,7 @@ import time
 
 from conftest import emit
 
+from repro.lower.engine import LoweringConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.service import ServiceConfig, StencilService
 
@@ -78,6 +79,7 @@ def _warm_backend_requests(n):
     name, grid = WARM_BACKEND_SPEC
     return [
         {
+            "proto": 1,
             "id": f"warm-{k}",
             "benchmark": name,
             "grid": list(grid),
@@ -162,13 +164,14 @@ def _warm_converter_pass(name, grid, converter, passes=3):
         max_queue=64,
         max_batch=16,
         backend="compiled",
-        converter=converter,
+        lowering=LoweringConfig(converter=converter),
     )
     n = CONVERTER_REQUESTS
 
     def make_requests(count):
         return [
             {
+                "proto": 1,
                 "id": f"conv-{k}",
                 "benchmark": name,
                 "grid": list(grid),
@@ -283,6 +286,7 @@ def _coverage_requests(n):
         if k % 4 == 3:
             requests.append(
                 {
+                    "proto": 1,
                     "id": f"cov-{k}",
                     "spec": skewed[k % len(skewed)],
                     "seed": k % 5,
@@ -292,6 +296,7 @@ def _coverage_requests(n):
             continue
         name = names[k % len(names)]
         req = {
+            "proto": 1,
             "id": f"cov-{k}",
             "benchmark": name,
             "grid": list(SERVICE_GRIDS[name]),
@@ -323,7 +328,7 @@ def _compiled_coverage_pass():
         backend="compiled",
         # Low chunking threshold: the small skewed domains above it
         # exercise the chunked gather replay, not just the eager table.
-        gather_limit=256,
+        lowering=LoweringConfig(gather_limit=256),
     )
     requests = _coverage_requests(COVERAGE_REQUESTS)
 
@@ -604,6 +609,7 @@ def _mixed_requests(n):
     names = sorted(SERVICE_GRIDS)
     return [
         {
+            "proto": 1,
             "id": f"bench-{k}",
             "benchmark": names[k % len(names)],
             "grid": list(SERVICE_GRIDS[names[k % len(names)]]),
@@ -631,6 +637,7 @@ def _distinct_cold_requests(n):
     """
     return [
         {
+            "proto": 1,
             "id": f"cold-{k}",
             "benchmark": "DENOISE",
             "grid": [36, 48 + 2 * k],
@@ -675,6 +682,7 @@ def _disk_restart_pass(cache_dir):
         replies = [
             svc.handle(
                 {
+                    "proto": 1,
                     "benchmark": name,
                     "grid": list(SERVICE_GRIDS[name]),
                     "timeout_s": 300.0,

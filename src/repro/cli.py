@@ -303,15 +303,20 @@ def cmd_simulate(args) -> int:
 
 
 def _lowering_from_args(args):
-    """Parse ``--lowering`` (one consolidated JSON pass-through) into
-    a :class:`~repro.lower.engine.LoweringConfig`, or None when the
-    flag is absent (legacy ``--converter``/``--gather-limit`` knobs
-    then apply)."""
+    """The one :class:`~repro.lower.engine.LoweringConfig` of a
+    command: ``--lowering`` (a JSON pass-through) when given, else the
+    ``--converter``/``--gather-limit`` flags.  Invalid values raise
+    ``ValueError`` (the CLI's one-line error)."""
     from .lower.engine import LoweringConfig
 
     raw = getattr(args, "lowering", None)
     if not raw:
-        return None
+        return LoweringConfig.from_json(
+            {
+                "converter": getattr(args, "converter", None),
+                "gather_limit": getattr(args, "gather_limit", None),
+            }
+        )
     try:
         data = json.loads(raw)
     except ValueError as exc:
@@ -345,8 +350,6 @@ def _service_config(args):
         worker_mode=args.worker_mode,
         backend=getattr(args, "backend", "interpreted"),
         lowering=_lowering_from_args(args),
-        converter=getattr(args, "converter", "numpy"),
-        gather_limit=getattr(args, "gather_limit", None),
         hang_timeout_s=args.hang_timeout,
         chaos=chaos,
     )
@@ -380,7 +383,7 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     group.add_argument(
-        # Validated by ServiceConfig, like --backend.
+        # Validated by LoweringConfig, like --backend.
         "--converter", default="numpy", metavar="NAME",
         help=(
             "kernel converter under --backend compiled: 'numpy' "
@@ -390,7 +393,7 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     group.add_argument(
-        # Validated by ServiceConfig (positive int).
+        # Validated by LoweringConfig (positive int).
         "--gather-limit", type=int, default=None, metavar="POINTS",
         help=(
             "gather-domain size above which the compiled backend "
@@ -695,21 +698,7 @@ def cmd_route(args) -> int:
             f"backend must be one of 'interpreted', 'compiled', "
             f"got {backend!r}"
         )
-    converter = getattr(args, "converter", "numpy")
-    if converter not in ("numpy", "c"):
-        raise ValueError(
-            f"converter must be one of 'numpy', 'c', "
-            f"got {converter!r}"
-        )
     lowering = _lowering_from_args(args)
-    if lowering is None:
-        from .lower.engine import LoweringConfig
-
-        kwargs = {"converter": converter}
-        gather_limit = getattr(args, "gather_limit", None)
-        if gather_limit:
-            kwargs["gather_limit"] = int(gather_limit)
-        lowering = LoweringConfig(**kwargs)
     remotes = tuple(getattr(args, "connect", None) or ())
     transport = getattr(args, "transport", "pipe")
     if remotes:

@@ -57,10 +57,21 @@ from .program import (
     validate_program,
 )
 
-__all__ = ["CompiledEngine", "LowerResult", "LoweringConfig"]
+__all__ = [
+    "LOWER_CONVERTERS",
+    "CompiledEngine",
+    "LowerResult",
+    "LoweringConfig",
+]
 
 #: Input-grid LRU budget (float64 bytes across all cached grids).
 GRID_CACHE_BYTES = 64 * 1024 * 1024
+
+#: Converter targets behind the compiled backend's ``BufferProgram``
+#: IR: ``"numpy"`` is the vectorized ufunc replay, ``"c"`` generates C
+#: built via cffi (degrading per build to ``"numpy"`` when no C
+#: toolchain is present).
+LOWER_CONVERTERS = ("numpy", "c")
 
 
 @dataclass(frozen=True)
@@ -76,6 +87,10 @@ class LoweringConfig:
     ``artifact_dir`` is deliberately *not* part of the key: it decides
     where the C converter persists its build, never what the kernel
     computes.
+
+    Construction validates every field (``ValueError``): the converter
+    must be one of :data:`LOWER_CONVERTERS` and both gather limits
+    positive ints.
     """
 
     converter: str = "numpy"
@@ -83,20 +98,34 @@ class LoweringConfig:
     gather_hard_limit: int = GATHER_HARD_LIMIT
     artifact_dir: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.converter not in LOWER_CONVERTERS:
+            raise ValueError(
+                f"converter must be one of "
+                f"{', '.join(repr(n) for n in LOWER_CONVERTERS)}, "
+                f"got {self.converter!r}"
+            )
+        for name in ("gather_limit", "gather_hard_limit"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, int)
+                or value < 1
+            ):
+                raise ValueError(
+                    f"{name} must be a positive int, got {value!r}"
+                )
+
     def key(self) -> Tuple:
-        return (
-            self.converter,
-            int(self.gather_limit),
-            int(self.gather_hard_limit),
-        )
+        return (self.converter, self.gather_limit, self.gather_hard_limit)
 
     def to_json(self) -> dict:
         """Wire encoding — the one lowering pass-through dict shared
         by pool job protocol and router node argv."""
         out = {
             "converter": self.converter,
-            "gather_limit": int(self.gather_limit),
-            "gather_hard_limit": int(self.gather_hard_limit),
+            "gather_limit": self.gather_limit,
+            "gather_hard_limit": self.gather_hard_limit,
         }
         if self.artifact_dir is not None:
             out["artifact_dir"] = str(self.artifact_dir)
@@ -104,20 +133,19 @@ class LoweringConfig:
 
     @classmethod
     def from_json(cls, data: Optional[dict]) -> "LoweringConfig":
-        """Parse the wire encoding; missing keys keep the defaults."""
-        data = data or {}
-        kwargs: Dict[str, object] = {}
-        if data.get("converter"):
-            kwargs["converter"] = str(data["converter"])
-        if data.get("gather_limit"):
-            kwargs["gather_limit"] = int(data["gather_limit"])
-        if data.get("gather_hard_limit"):
-            kwargs["gather_hard_limit"] = int(
-                data["gather_hard_limit"]
-            )
-        if data.get("artifact_dir"):
-            kwargs["artifact_dir"] = str(data["artifact_dir"])
+        """Parse the wire encoding; absent or null keys keep the
+        defaults, every present value is validated as given."""
+        kwargs = {
+            name: value
+            for name, value in (data or {}).items()
+            if name in _LOWERING_KEYS and value is not None
+        }
         return cls(**kwargs)
+
+
+_LOWERING_KEYS = (
+    "converter", "gather_limit", "gather_hard_limit", "artifact_dir",
+)
 
 
 @dataclass

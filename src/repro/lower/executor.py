@@ -6,21 +6,23 @@ the thread service, the router's node spawner and the canary paths by
 name — ``ServiceConfig(backend="compiled")`` maps thread-mode services
 here, and the process pool reuses the same engine inside its workers.
 
-Execution path per same-fingerprint group:
+Execution path per same-fingerprint group (a single kernel is a
+workload of one stage):
 
-1. the shared :class:`~repro.lower.engine.CompiledEngine` lowers the
-   plan once (bufferize → convert, persisted as the plan's cache
+1. the shared :class:`~repro.lower.engine.CompiledEngine` lowers each
+   stage plan once (bufferize → convert, persisted as the plan's cache
    sidecar) and returns the memoized kernel afterwards;
-2. the group's input grids execute through ``CompiledKernel.run_many``
-   — small grids fuse into one stacked ``run_batch`` call, large ones
-   run as strided views without the stack copy;
+2. per stage, the group's input grids execute through one
+   ``CompiledKernel.run_many`` call — small grids fuse into one stacked
+   ``run_batch`` call, large ones run as strided views without the
+   stack copy — and each output becomes the next stage's input;
 3. each row is digested exactly like the interpreted path (same
    SHA-256 over the same bytes — bit-identity is the contract, and the
-   sampled canary re-runs the interpreted golden path to prove it).
+   sampled canary re-runs the interpreted golden chain to prove it).
 
-When the lowering refuses a plan (:class:`LoweringUnsupported` — e.g.
-multi-stream partitions, oversized gather domains) the group falls
-back to the inherited interpreted path and the reason lands in
+When the lowering refuses any stage (:class:`LoweringUnsupported` —
+e.g. a gather domain past the hard limit) the group falls back to the
+inherited interpreted path and the reason lands in
 ``service_lower_fallback_total``.  A corrupt stored program
 (:class:`ProgramMismatchError`) resolves as a validation failure and
 evicts the plan — never a wrong answer.
@@ -34,55 +36,20 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..integration.chaining import intermediate_grid_shape
 from ..obs.tracing import span, trace_context
 from ..service.executor import (
     PlanExecutor,
     PlanValidationError,
-    execute_pipeline,
-    execute_stencil,
-    make_response,
     observe_stage,
     register_executor,
-    stage_summaries,
-    validate_pipeline,
-    validate_plan,
 )
 from ..service.plancache import CachedPlan
 from ..service.scheduler import WorkItem
-from .engine import CompiledEngine, LoweringConfig
+from .engine import CompiledEngine
 from .program import LoweringUnsupported, ProgramMismatchError
 
-__all__ = ["CompiledPlanExecutor", "lowering_config_from_service"]
-
-
-def lowering_config_from_service(config) -> LoweringConfig:
-    """The engine's :class:`LoweringConfig` for a ServiceConfig.
-
-    ``ServiceConfig`` carries a fully-resolved ``lowering`` config
-    (legacy converter/gather knobs are folded into it at validation
-    time), so the common path is a plain attribute read.  Bare test
-    doubles (and older configs) that only set the legacy fields are
-    still read defensively; the plan cache's directory doubles as the
-    C converter's artifact directory, putting ``<fp>.c.so`` next to
-    the plan and program sidecars it belongs to.
-    """
-    lowering = getattr(config, "lowering", None)
-    if isinstance(lowering, LoweringConfig):
-        return lowering
-    kwargs = {}
-    converter = getattr(config, "converter", None)
-    if converter:
-        kwargs["converter"] = str(converter)
-    gather_limit = getattr(config, "gather_limit", None)
-    if gather_limit:
-        kwargs["gather_limit"] = int(gather_limit)
-    gather_hard_limit = getattr(config, "gather_hard_limit", None)
-    if gather_hard_limit:
-        kwargs["gather_hard_limit"] = int(gather_hard_limit)
-    cache_dir = getattr(config, "cache_dir", None)
-    if cache_dir:
-        kwargs["artifact_dir"] = str(cache_dir)
-    return LoweringConfig(**kwargs)
+__all__ = ["CompiledPlanExecutor"]
 
 
 class CompiledPlanExecutor(PlanExecutor):
@@ -107,7 +74,6 @@ class CompiledPlanExecutor(PlanExecutor):
         try:
             result = self.engine.kernel_for(plan)
         except ProgramMismatchError as exc:
-            self.engine.forget(plan.fingerprint)
             raise PlanValidationError(str(exc)) from exc
         if result.built:
             observe_stage(
@@ -144,106 +110,29 @@ class CompiledPlanExecutor(PlanExecutor):
 
     # -- the batched group hook ----------------------------------------
     def _execute_group(
-        self, live: List[WorkItem], plan: CachedPlan, outcome: str
-    ) -> None:
-        try:
-            kernel = self._kernel(plan)
-        except LoweringUnsupported as exc:
-            self._count_fallback(exc.reason, len(live))
-            super()._execute_group(live, plan, outcome)
-            return
-        except PlanValidationError as exc:
-            for item in live:
-                self._resolve_validation_failure(
-                    item, outcome, str(exc)
-                )
-            return
-
-        runnable: List[WorkItem] = []
-        for item in live:
-            if item.expired():
-                self._resolve_timeout(item)
-                continue
-            item.attempts += 1
-            try:
-                if self.fault_hook is not None:
-                    self.fault_hook(item)
-            except Exception as exc:
-                self._retry_or_fail(item, str(exc))
-                continue
-            runnable.append(item)
-        if not runnable:
-            return
-
-        exemplar = runnable[0]
-        execute_start_ns = time.perf_counter_ns()
-        try:
-            with trace_context(
-                exemplar.trace_id, exemplar.parent_span_id
-            ), span(
-                "lower.execute",
-                benchmark=exemplar.spec.name,
-                batch=len(runnable),
-            ):
-                rows = kernel.run_many(
-                    [
-                        self.engine.input_grid(item.spec, item.seed)
-                        for item in runnable
-                    ]
-                )
-        except Exception as exc:
-            # A kernel that cannot execute is a lowering gap, not a
-            # request failure: fall back to the interpreted path.
-            self._count_fallback("kernel_error", len(runnable))
-            self.registry.counter(
-                "service_lower_kernel_errors_total"
-            ).inc()
-            for item in runnable:
-                item.attempts -= 1  # the interpreted path re-counts
-            super()._execute_group(runnable, plan, outcome)
-            return
-        observe_stage(
-            self.registry,
-            "lower_execute",
-            (time.perf_counter_ns() - execute_start_ns) / 1e6,
-        )
-        observe_stage(
-            self.registry,
-            "execute",
-            (time.perf_counter_ns() - execute_start_ns) / 1e6,
-        )
-        for item, row in zip(runnable, rows):
-            self._finish_item(item, plan, outcome, row)
-
-    # -- the batched pipeline hook -------------------------------------
-    def _execute_pipeline_group(
         self,
         live: List[WorkItem],
         plans: List[CachedPlan],
         outcome: str,
     ) -> None:
-        """Run a multi-stage workload group through lowered kernels.
+        """Run one same-fingerprint group through lowered kernels.
 
         Every stage lowers independently; any refusal sends the whole
-        pipeline down the inherited interpreted chain (no mixed-mode
+        group down the inherited interpreted chain (no mixed-mode
         execution — the hand-off bytes must come from one path).  When
         all stages lower, each stage executes as one batched
         ``run_many`` over the group, and the Fig 13c reshape hand-off
         happens in-process between stages.
         """
-        from ..integration.chaining import intermediate_grid_shape
-
         try:
             kernels = [self._kernel(plan) for plan in plans]
         except LoweringUnsupported as exc:
             self._count_fallback(exc.reason, len(live))
-            super()._execute_pipeline_group(live, plans, outcome)
+            super()._execute_group(live, plans, outcome)
             return
         except PlanValidationError as exc:
             for item in live:
-                self._fail_pipeline_validation(
-                    item, plans, outcome, str(exc)
-                )
+                self._resolve_validation_failure(item, outcome, str(exc))
             return
 
         runnable: List[WorkItem] = []
@@ -269,8 +158,8 @@ class CompiledPlanExecutor(PlanExecutor):
             for item in runnable
         ]
         # per_item[i] collects (arr, digest) per stage for item i —
-        # the same shape execute_pipeline returns, so the summaries
-        # and canary helpers are shared with the interpreted path.
+        # the same shape execute_pipeline returns, so the reply and
+        # canary helpers are shared with the interpreted path.
         per_item: List[List] = [[] for _ in runnable]
         execute_start_ns = time.perf_counter_ns()
         try:
@@ -290,6 +179,8 @@ class CompiledPlanExecutor(PlanExecutor):
                         np.ascontiguousarray(row, dtype=np.float64)
                         for row in rows
                     ]
+                    # Hash each row's buffer directly — the bytes of
+                    # ``row.tobytes()`` without copying them.
                     for results, arr in zip(per_item, arrs):
                         results.append(
                             (arr, hashlib.sha256(arr.data).hexdigest())
@@ -297,172 +188,36 @@ class CompiledPlanExecutor(PlanExecutor):
                     if idx + 1 < len(stages):
                         shape = intermediate_grid_shape(stage.spec)
                         current = [arr.reshape(shape) for arr in arrs]
-        except Exception as exc:
+        except Exception:
+            # A kernel that cannot execute is a lowering gap, not a
+            # request failure: fall back to the interpreted path.
             self._count_fallback("kernel_error", len(runnable))
             self.registry.counter(
                 "service_lower_kernel_errors_total"
             ).inc()
             for item in runnable:
                 item.attempts -= 1  # the interpreted path re-counts
-            super()._execute_pipeline_group(runnable, plans, outcome)
+            super()._execute_group(runnable, plans, outcome)
             return
         execute_ms = (
             time.perf_counter_ns() - execute_start_ns
         ) / 1e6
         observe_stage(self.registry, "lower_execute", execute_ms)
         observe_stage(self.registry, "execute", execute_ms)
+        compiled = 0
         for item, results in zip(runnable, per_item):
-            self._finish_pipeline_item(item, plans, outcome, results)
-
-    def _finish_pipeline_item(
-        self,
-        item: WorkItem,
-        plans: List[CachedPlan],
-        outcome: str,
-        results: List,
-    ) -> None:
-        try:
-            validated: Optional[bool] = None
-            if self._should_validate(item):
-                self.registry.counter("service_validation_total").inc()
-                canary_start_ns = time.perf_counter_ns()
-                with trace_context(item.trace_id, item.parent_span_id):
-                    # Bit-identity first: every stage's compiled digest
-                    # must match the interpreted chained replay, then
-                    # the usual per-stage cycle-sim plan validation.
-                    grid, golden = execute_pipeline(
-                        item.stages, item.seed
-                    )
-                    for stage, (_, got), (_, want) in zip(
-                        item.stages, results, golden
-                    ):
-                        if got != want:
-                            raise PlanValidationError(
-                                f"compiled stage {stage.index} "
-                                f"({stage.spec.name}) outputs diverge "
-                                "from the golden chained reference"
-                            )
-                    validate_pipeline(
-                        item.stages, plans, grid, golden
-                    )
-                observe_stage(
-                    self.registry,
-                    "canary",
-                    (time.perf_counter_ns() - canary_start_ns) / 1e6,
-                )
-                validated = True
-            final_arr, final_digest = results[-1]
-            self._resolve(
-                item,
-                make_response(
-                    item,
-                    "ok",
-                    cache=outcome,
-                    n_outputs=int(final_arr.size),
-                    mean=(
-                        float(np.mean(final_arr))
-                        if final_arr.size
-                        else 0.0
-                    ),
-                    checksum=final_digest[:16],
-                    validated=validated,
-                    summary=plans[-1].summary,
-                    stages=stage_summaries(item.stages, results),
-                ),
-            )
+            compiled += self._finish(item, plans, outcome, results)
+        if compiled:
             self.registry.counter(
                 "service_lower_requests_total", {"path": "compiled"}
-            ).inc()
-        except PlanValidationError as exc:
-            self._fail_pipeline_validation(
-                item, plans, outcome, str(exc)
-            )
-        except Exception as exc:
-            self._retry_or_fail(item, str(exc))
+            ).inc(compiled)
 
-    def _fail_pipeline_validation(
-        self,
-        item: WorkItem,
-        plans: List[CachedPlan],
-        outcome: str,
-        error: str,
+    def _resolve_validation_failure(
+        self, item: WorkItem, cache_outcome: str, error: str
     ) -> None:
-        for plan in plans:
-            self.cache.invalidate(plan.fingerprint)
-            self.engine.forget(plan.fingerprint)
-        self.registry.counter(
-            "service_validation_failures_total"
-        ).inc()
-        self._resolve(
-            item,
-            make_response(
-                item,
-                "validation_failed",
-                cache=outcome,
-                validated=False,
-                error=error,
-            ),
-        )
-
-    def _finish_item(
-        self,
-        item: WorkItem,
-        plan: CachedPlan,
-        outcome: str,
-        row: np.ndarray,
-    ) -> None:
-        try:
-            row = np.ascontiguousarray(row, dtype=np.float64)
-            # Hash the row's buffer directly — same bytes as
-            # ``row.tobytes()`` (C-contiguous float64) without copying
-            # a megabyte per request on large grids.
-            digest = hashlib.sha256(row.data).hexdigest()
-            validated: Optional[bool] = None
-            if self._should_validate(item):
-                self.registry.counter("service_validation_total").inc()
-                canary_start_ns = time.perf_counter_ns()
-                with trace_context(item.trace_id, item.parent_span_id):
-                    # The compiled canary proves bit-identity against
-                    # the interpreted golden path before the usual
-                    # cycle-sim plan validation.
-                    grid, outputs, golden_digest = execute_stencil(
-                        item.spec, item.seed
-                    )
-                    if golden_digest != digest:
-                        raise PlanValidationError(
-                            "compiled kernel outputs diverge from the "
-                            "golden reference"
-                        )
-                    validate_plan(
-                        item.spec, item.options, plan, grid, outputs
-                    )
-                observe_stage(
-                    self.registry,
-                    "canary",
-                    (time.perf_counter_ns() - canary_start_ns) / 1e6,
-                )
-                validated = True
-            self._resolve(
-                item,
-                make_response(
-                    item,
-                    "ok",
-                    cache=outcome,
-                    n_outputs=int(row.size),
-                    mean=float(np.mean(row)) if row.size else 0.0,
-                    checksum=digest[:16],
-                    validated=validated,
-                    summary=plan.summary,
-                ),
-            )
-            self.registry.counter(
-                "service_lower_requests_total", {"path": "compiled"}
-            ).inc()
-        except PlanValidationError as exc:
-            self.engine.forget(item.fingerprint)
-            self._resolve_validation_failure(item, outcome, str(exc))
-        except Exception as exc:
-            self._retry_or_fail(item, str(exc))
+        for stage in item.stages:
+            self.engine.forget(stage.fingerprint)
+        super()._resolve_validation_failure(item, cache_outcome, error)
 
 
 @register_executor("compiled")
@@ -470,9 +225,7 @@ def _make_compiled_executor(
     config, shared, fault_hook
 ) -> CompiledPlanExecutor:
     """``backend="compiled"`` (thread mode): batched lowered kernels."""
-    engine = CompiledEngine(
-        config=lowering_config_from_service(config)
-    )
+    engine = CompiledEngine(config=config.lowering)
     return CompiledPlanExecutor(
         engine=engine, fault_hook=fault_hook, **shared
     )

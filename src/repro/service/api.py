@@ -34,12 +34,12 @@ end-to-end latency live in :attr:`StencilService.metrics`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.tracing import span, trace_context
-from ..lower.engine import LoweringConfig
+from ..lower.engine import LOWER_CONVERTERS, LoweringConfig  # noqa: F401
 from ..lower.executor import (  # noqa: F401 (registers backend)
     CompiledPlanExecutor,
 )
@@ -74,12 +74,6 @@ __all__ = [
 #: ``"compiled"`` runs batched lowered kernels (:mod:`repro.lower`).
 EXECUTION_BACKENDS = ("interpreted", "compiled")
 
-#: Converter targets behind the compiled backend's ``BufferProgram``
-#: IR: ``"numpy"`` is the vectorized ufunc replay, ``"c"`` generates C
-#: built via cffi (degrading per build to ``"numpy"`` when no C
-#: toolchain is present).  Meaningless with ``backend="interpreted"``.
-LOWER_CONVERTERS = ("numpy", "c")
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -106,21 +100,10 @@ class ServiceConfig:
     worker_mode: str = "thread"  # "thread" | "process"
     backend: str = "interpreted"  # "interpreted" | "compiled"
     #: The one carrier of every lowering knob (converter, gather
-    #: limits, artifact dir).  Normally derived in ``__post_init__``
-    #: from the legacy convenience fields below plus ``cache_dir``;
-    #: pass an explicit :class:`LoweringConfig` to set everything in
-    #: one place (the legacy fields are then overwritten to mirror it).
-    lowering: Optional[LoweringConfig] = None
-    converter: str = "numpy"  # "numpy" | "c" (compiled backend only)
-    #: Gather domains whose bounding box exceeds this many points are
-    #: lowered chunked instead of eagerly tabulated.  ``None`` keeps
-    #: the library default (:data:`repro.lower.GATHER_POINT_LIMIT`);
-    #: benches and CI set it low to exercise chunking on small grids.
-    gather_limit: Optional[int] = None
-    #: Refuse to lower gather domains whose bounding box exceeds this
-    #: many points (fallback reason ``gather_limit``).  ``None`` keeps
-    #: the library default (:data:`repro.lower.GATHER_HARD_LIMIT`).
-    gather_hard_limit: Optional[int] = None
+    #: limits, artifact dir); it validates itself.  Without an
+    #: ``artifact_dir`` it inherits ``cache_dir``, so C builds sit
+    #: next to the plans and program sidecars they belong to.
+    lowering: LoweringConfig = field(default_factory=LoweringConfig)
     breaker_threshold: int = 3  # lethal events before the circuit opens
     breaker_cooldown_s: float = 5.0
     hang_timeout_s: float = 60.0  # unresponsive-worker kill deadline
@@ -133,83 +116,16 @@ class ServiceConfig:
                 f"{', '.join(repr(n) for n in EXECUTION_BACKENDS)}, "
                 f"got {self.backend!r}"
             )
-        if self.lowering is None:
-            # Derive the single carrier from the legacy convenience
-            # fields (validated first so the error messages stay
-            # field-specific).
-            if self.converter not in LOWER_CONVERTERS:
-                raise ValueError(
-                    f"converter must be one of "
-                    f"{', '.join(repr(n) for n in LOWER_CONVERTERS)}, "
-                    f"got {self.converter!r}"
-                )
-            if self.gather_limit is not None and self.gather_limit < 1:
-                raise ValueError(
-                    f"gather_limit must be positive, got "
-                    f"{self.gather_limit!r}"
-                )
-            if (
-                self.gather_hard_limit is not None
-                and self.gather_hard_limit < 1
-            ):
-                raise ValueError(
-                    f"gather_hard_limit must be positive, got "
-                    f"{self.gather_hard_limit!r}"
-                )
-            kwargs = {"converter": self.converter}
-            if self.gather_limit is not None:
-                kwargs["gather_limit"] = int(self.gather_limit)
-            if self.gather_hard_limit is not None:
-                kwargs["gather_hard_limit"] = int(
-                    self.gather_hard_limit
-                )
-            if self.cache_dir:
-                # The plan cache's directory doubles as the converter
-                # artifact directory (<fp>.c.so sits next to the plan
-                # and program sidecars it belongs to).
-                kwargs["artifact_dir"] = str(self.cache_dir)
-            object.__setattr__(
-                self, "lowering", LoweringConfig(**kwargs)
+        if not isinstance(self.lowering, LoweringConfig):
+            raise ValueError(
+                "lowering must be a LoweringConfig, got "
+                f"{self.lowering!r}"
             )
-        else:
-            if not isinstance(self.lowering, LoweringConfig):
-                raise ValueError(
-                    "lowering must be a LoweringConfig, got "
-                    f"{self.lowering!r}"
-                )
-            if self.lowering.converter not in LOWER_CONVERTERS:
-                raise ValueError(
-                    f"converter must be one of "
-                    f"{', '.join(repr(n) for n in LOWER_CONVERTERS)}, "
-                    f"got {self.lowering.converter!r}"
-                )
-            if (
-                self.lowering.artifact_dir is None
-                and self.cache_dir
-            ):
-                object.__setattr__(
-                    self,
-                    "lowering",
-                    LoweringConfig(
-                        converter=self.lowering.converter,
-                        gather_limit=self.lowering.gather_limit,
-                        gather_hard_limit=(
-                            self.lowering.gather_hard_limit
-                        ),
-                        artifact_dir=str(self.cache_dir),
-                    ),
-                )
-            # Keep the legacy mirror fields consistent for readers.
-            object.__setattr__(
-                self, "converter", self.lowering.converter
-            )
-            object.__setattr__(
-                self, "gather_limit", self.lowering.gather_limit
-            )
+        if self.lowering.artifact_dir is None and self.cache_dir:
             object.__setattr__(
                 self,
-                "gather_hard_limit",
-                self.lowering.gather_hard_limit,
+                "lowering",
+                replace(self.lowering, artifact_dir=str(self.cache_dir)),
             )
         if self.worker_mode not in ("thread", "process"):
             raise ValueError(
@@ -331,18 +247,16 @@ class StencilService:
             )
 
     def _parse(self, req: Request, request_id: str) -> WorkItem:
-        stages = None
-        label = None
         if req.workload is not None:
             plan = resolve_workload(req)
             self._count_workload(req, plan)
-            spec = plan.stages[0].spec
-            options = plan.stages[0].options
+            stages, label = plan.stages, plan.label
+            spec, options = stages[0].spec, stages[0].options
             plan_fp = plan.fingerprint
-            if len(plan.stages) > 1:
-                stages = plan.stages
-                label = plan.label
         else:
+            # A proto:1 request is a one-stage workload; WorkItem
+            # builds that stage from the resolved triple.
+            stages, label = (), None
             spec, options, plan_fp = resolve_single(req)
         timeout_s = (
             self.config.default_timeout_s

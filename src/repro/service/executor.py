@@ -1,9 +1,10 @@
 """Worker-pool batch executor: compile-once, execute-many, spot-check.
 
 Workers pull batches off the :class:`~repro.service.scheduler.Scheduler`
-and group them by plan fingerprint, so one cache lookup (and at most one
-compile, thanks to single-flight) serves the whole group.  Execution
-itself runs the *vectorized golden path*
+and group them by request fingerprint.  Every request is a workload of
+n ≥ 1 stages (a single kernel is one stage), so one cache lookup per
+stage (and at most one compile, thanks to single-flight) serves the
+whole group.  Execution itself runs the *vectorized golden path*
 (:mod:`repro.stencil.golden`) — the paper-exact NumPy evaluation — and
 returns an output digest rather than the raw grid.
 
@@ -43,6 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..flow.automation import compile_accelerator
+from ..integration.chaining import intermediate_grid_shape
 from ..microarch.memory_system import build_memory_system
 from ..microarch.tradeoff import with_offchip_streams
 from ..obs.metrics import MetricsRegistry
@@ -79,9 +81,11 @@ __all__ = [
     "make_executor",
     "make_response",
     "register_executor",
+    "reply_fields",
     "stage_summaries",
     "validate_pipeline",
     "validate_plan",
+    "validate_results",
     "worse_cache_outcome",
 ]
 
@@ -185,8 +189,6 @@ def execute_pipeline(stages, seed: int):
     C-contiguous float64 output bytes — so a pipeline stage digest is
     bit-comparable with the equivalent single-kernel request's.
     """
-    from ..integration.chaining import intermediate_grid_shape
-
     grid = make_input(stages[0].spec, seed=seed)
     current = grid
     results = []
@@ -221,6 +223,44 @@ def stage_summaries(stages, results) -> List[dict]:
     ]
 
 
+def reply_fields(stages, results) -> Dict[str, Any]:
+    """The ``ok`` reply fields of one executed chain.
+
+    The one response rule every executor follows: checksum, output
+    count and mean of the final stage, plus per-stage summaries only
+    for workloads of more than one stage.
+    """
+    final, digest = results[-1]
+    fields: Dict[str, Any] = {
+        "n_outputs": int(final.size),
+        "mean": float(np.mean(final)) if final.size else 0.0,
+        "checksum": digest[:16],
+    }
+    if len(stages) > 1:
+        fields["stages"] = stage_summaries(stages, results)
+    return fields
+
+
+def validate_results(stages, plans, seed: int, results, grid=None) -> None:
+    """The canary for one executed chain.
+
+    ``grid`` is the input an interpreted run (:func:`execute_pipeline`)
+    started from.  Compiled results come without one: the golden chain
+    is replayed first and every stage digest must match it bit for bit,
+    then the replay's outputs go through :func:`validate_pipeline`.
+    """
+    if grid is None:
+        grid, golden = execute_pipeline(stages, seed)
+        for stage, (_, got), (_, want) in zip(stages, results, golden):
+            if got != want:
+                raise PlanValidationError(
+                    f"compiled stage {stage.index} ({stage.spec.name}) "
+                    "outputs diverge from the golden chained reference"
+                )
+        results = golden
+    validate_pipeline(stages, plans, grid, results)
+
+
 def validate_pipeline(stages, plans, grid, results) -> None:
     """Cycle-sim canary for every stage of a pipeline.
 
@@ -228,8 +268,6 @@ def validate_pipeline(stages, plans, grid, results) -> None:
     with that stage's actual input grid (recovered by replaying the
     reshape hand-off) and its golden outputs.
     """
-    from ..integration.chaining import intermediate_grid_shape
-
     current = grid
     for idx, (stage, plan, (arr, _)) in enumerate(
         zip(stages, plans, results)
@@ -520,7 +558,10 @@ class ExecutorBase:
     def _resolve_validation_failure(
         self, item: WorkItem, cache_outcome: str, error: str
     ) -> None:
-        self.cache.invalidate(item.fingerprint)
+        """Evict every stage plan of ``item`` and reply
+        ``validation_failed``."""
+        for stage in item.stages:
+            self.cache.invalidate(stage.fingerprint)
         self.registry.counter(
             "service_validation_failures_total"
         ).inc()
@@ -687,7 +728,13 @@ class PlanExecutor(ExecutorBase):
                 self._process_group(fp, items)
 
     def _process_group(self, fp: str, items: List[WorkItem]) -> None:
-        """One cache round trip serves every request in the group."""
+        """Fetch (or compile) every stage plan once for the group.
+
+        The group key is the request fingerprint, but each stage is an
+        ordinary plan under its own fingerprint — so a pipeline stage
+        and the equivalent single-kernel request share one cache entry,
+        and each stage compiles at most once for the whole group.
+        """
         dequeued_ns = time.perf_counter_ns()
         live: List[WorkItem] = []
         for item in items:
@@ -702,62 +749,6 @@ class PlanExecutor(ExecutorBase):
                 live.append(item)
         if not live:
             return
-        exemplar = live[0]
-        if getattr(exemplar, "stages", None):
-            self._process_pipeline_group(live)
-            return
-        started = time.perf_counter()
-        try:
-            with trace_context(
-                exemplar.trace_id, exemplar.parent_span_id
-            ), span(
-                "service.cache_lookup",
-                fingerprint=fp[:12],
-                group=len(live),
-            ) as lookup_span:
-                plan, outcome = self.cache.get_or_compile(
-                    fp,
-                    lambda: compile_plan(
-                        exemplar.spec, exemplar.options, fp
-                    ),
-                )
-                lookup_span.annotate(outcome=outcome)
-        except Exception as exc:
-            for item in live:
-                self._retry_or_fail(
-                    item,
-                    f"compile failed: {exc}",
-                    kind="compile_failed",
-                )
-            return
-        compile_ms = (time.perf_counter() - started) * 1e3
-        # "compile" holds the cold path; warm lookups (memory or disk
-        # promotion) are attributed to "cache_lookup".
-        observe_stage(
-            self.registry,
-            "compile" if outcome == "miss" else "cache_lookup",
-            compile_ms,
-        )
-        self.registry.counter(
-            "service_cache_total", {"outcome": outcome}
-        ).inc()
-        self.registry.histogram(
-            "service_compile_ms",
-            {"cache": outcome},
-            buckets=LATENCY_BUCKETS_MS,
-        ).observe(compile_ms)
-        self._note_cache_outcome(fp, outcome)
-        self._execute_group(live, plan, outcome)
-
-    # -- pipeline (multi-stage workload) groups ------------------------
-    def _process_pipeline_group(self, live: List[WorkItem]) -> None:
-        """Compile/fetch every stage plan, then execute the chain.
-
-        The group key is the *workload* fingerprint, but each stage is
-        an ordinary plan under its own fingerprint — so a pipeline
-        stage and an equivalent single-kernel request share one cache
-        entry, and the stage compiles once for the whole group.
-        """
         exemplar = live[0]
         plans: List[CachedPlan] = []
         worst = "hit"
@@ -791,6 +782,8 @@ class PlanExecutor(ExecutorBase):
                     )
                 return
             compile_ms = (time.perf_counter() - started) * 1e3
+            # "compile" holds the cold path; warm lookups (memory or
+            # disk promotion) are attributed to "cache_lookup".
             observe_stage(
                 self.registry,
                 "compile" if outcome == "miss" else "cache_lookup",
@@ -807,61 +800,74 @@ class PlanExecutor(ExecutorBase):
             self._note_cache_outcome(stage.fingerprint, outcome)
             worst = worse_cache_outcome(worst, outcome)
             plans.append(plan)
-        self._execute_pipeline_group(live, plans, worst)
+        self._execute_group(live, plans, worst)
 
-    def _execute_pipeline_group(
+    def _execute_group(
         self,
         live: List[WorkItem],
         plans: List[CachedPlan],
         outcome: str,
     ) -> None:
-        """Run one same-workload group through its chained stages.
+        """Run one same-fingerprint group through its stages.
 
-        The backend hook, like :meth:`_execute_group`: the base class
-        chains the interpreted golden path per item; the compiled
-        executor overrides it to run every stage as one batched kernel
-        call across the group.
+        The backend hook: the base class chains the interpreted golden
+        path per item; :class:`repro.lower.executor.CompiledPlanExecutor`
+        overrides it to run each stage as one batched kernel call
+        across the group (falling back here when the lowering refuses
+        any stage).
         """
         for item in live:
-            self._process_pipeline_item(item, plans, outcome)
+            if item.expired():
+                self._resolve_timeout(item)
+                continue
+            item.attempts += 1
+            try:
+                execute_start_ns = time.perf_counter_ns()
+                with trace_context(
+                    item.trace_id, item.parent_span_id
+                ), span(
+                    "service.execute",
+                    benchmark=item.label or item.spec.name,
+                    request=item.request_id,
+                    stages=len(item.stages),
+                ):
+                    if self.fault_hook is not None:
+                        self.fault_hook(item)
+                    grid, results = execute_pipeline(
+                        item.stages, item.seed
+                    )
+                observe_stage(
+                    self.registry,
+                    "execute",
+                    (time.perf_counter_ns() - execute_start_ns) / 1e6,
+                )
+            except Exception as exc:
+                self._retry_or_fail(item, str(exc))
+                continue
+            self._finish(item, plans, outcome, results, grid)
 
-    def _process_pipeline_item(
+    def _finish(
         self,
         item: WorkItem,
         plans: List[CachedPlan],
-        cache_outcome: str,
-    ) -> None:
-        if item.expired():
-            self._resolve_timeout(item)
-            return
-        item.attempts += 1
+        outcome: str,
+        results: List,
+        grid: Optional[np.ndarray] = None,
+    ) -> bool:
+        """Canary (when sampled) and reply for one executed item.
+
+        ``grid`` is the input of an interpreted run; compiled results
+        come without one (see :func:`validate_results`).  Returns True
+        when the item resolved ``ok``.
+        """
         try:
-            execute_start_ns = time.perf_counter_ns()
-            with trace_context(
-                item.trace_id, item.parent_span_id
-            ), span(
-                "service.execute",
-                benchmark=item.label or item.spec.name,
-                request=item.request_id,
-                stages=len(item.stages),
-            ):
-                if self.fault_hook is not None:
-                    self.fault_hook(item)
-                grid, results = execute_pipeline(
-                    item.stages, item.seed
-                )
-            observe_stage(
-                self.registry,
-                "execute",
-                (time.perf_counter_ns() - execute_start_ns) / 1e6,
-            )
             validated: Optional[bool] = None
             if self._should_validate(item):
                 self.registry.counter("service_validation_total").inc()
                 canary_start_ns = time.perf_counter_ns()
                 with trace_context(item.trace_id, item.parent_span_id):
-                    validate_pipeline(
-                        item.stages, plans, grid, results
+                    validate_results(
+                        item.stages, plans, item.seed, results, grid
                     )
                 observe_stage(
                     self.registry,
@@ -869,118 +875,23 @@ class PlanExecutor(ExecutorBase):
                     (time.perf_counter_ns() - canary_start_ns) / 1e6,
                 )
                 validated = True
-            final_arr, final_digest = results[-1]
             self._resolve(
                 item,
                 make_response(
                     item,
                     "ok",
-                    cache=cache_outcome,
-                    n_outputs=int(final_arr.size),
-                    mean=(
-                        float(np.mean(final_arr))
-                        if final_arr.size
-                        else 0.0
-                    ),
-                    checksum=final_digest[:16],
+                    cache=outcome,
                     validated=validated,
                     summary=plans[-1].summary,
-                    stages=stage_summaries(item.stages, results),
+                    **reply_fields(item.stages, results),
                 ),
             )
+            return True
         except PlanValidationError as exc:
-            for plan in plans:
-                self.cache.invalidate(plan.fingerprint)
-            self.registry.counter(
-                "service_validation_failures_total"
-            ).inc()
-            self._resolve(
-                item,
-                make_response(
-                    item,
-                    "validation_failed",
-                    cache=cache_outcome,
-                    validated=False,
-                    error=str(exc),
-                ),
-            )
+            self._resolve_validation_failure(item, outcome, str(exc))
         except Exception as exc:
             self._retry_or_fail(item, str(exc))
-
-    def _execute_group(
-        self, live: List[WorkItem], plan: CachedPlan, outcome: str
-    ) -> None:
-        """Execute one same-fingerprint group against its plan.
-
-        The backend hook: the base class runs the interpreted golden
-        path per item; :class:`repro.lower.executor.CompiledPlanExecutor`
-        overrides this to run the whole group through one vectorized
-        kernel call (falling back here when the lowering refuses the
-        plan).
-        """
-        for item in live:
-            self._process_item(item, plan, outcome)
-
-    # -- per-request stages --------------------------------------------
-    def _process_item(
-        self, item: WorkItem, plan: CachedPlan, cache_outcome: str
-    ) -> None:
-        if item.expired():
-            self._resolve_timeout(item)
-            return
-        item.attempts += 1
-        try:
-            execute_start_ns = time.perf_counter_ns()
-            with trace_context(
-                item.trace_id, item.parent_span_id
-            ), span(
-                "service.execute",
-                benchmark=item.spec.name,
-                request=item.request_id,
-            ):
-                if self.fault_hook is not None:
-                    self.fault_hook(item)
-                grid, outputs, digest = execute_stencil(
-                    item.spec, item.seed
-                )
-            observe_stage(
-                self.registry,
-                "execute",
-                (time.perf_counter_ns() - execute_start_ns) / 1e6,
-            )
-            validated: Optional[bool] = None
-            if self._should_validate(item):
-                self.registry.counter("service_validation_total").inc()
-                canary_start_ns = time.perf_counter_ns()
-                with trace_context(item.trace_id, item.parent_span_id):
-                    validate_plan(
-                        item.spec, item.options, plan, grid, outputs
-                    )
-                observe_stage(
-                    self.registry,
-                    "canary",
-                    (time.perf_counter_ns() - canary_start_ns) / 1e6,
-                )
-                validated = True
-            self._resolve(
-                item,
-                make_response(
-                    item,
-                    "ok",
-                    cache=cache_outcome,
-                    n_outputs=len(outputs),
-                    mean=float(np.mean(outputs)) if outputs else 0.0,
-                    checksum=digest[:16],
-                    validated=validated,
-                    summary=plan.summary,
-                ),
-            )
-        except PlanValidationError as exc:
-            self._resolve_validation_failure(
-                item, cache_outcome, str(exc)
-            )
-        except Exception as exc:
-            self._retry_or_fail(item, str(exc))
+        return False
 
 
 @register_executor("thread")

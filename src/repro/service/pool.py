@@ -30,10 +30,14 @@ and the blast radius is exactly one worker:
 The wire protocol between the parent and a worker is JSON-safe dicts
 over a ``multiprocessing.Pipe``: specs, options and plans already have
 canonical JSON codecs (the content-addressed cache depends on them),
-so nothing else needs to pickle.  Chaos fault injection
-(:mod:`repro.service.chaos`) runs *inside* the worker, which is the
-point: an injected kill takes a real process down and the supervision
-machinery — not the test — has to recover.
+so nothing else needs to pickle.  One job format serves every
+request: a job carries one same-fingerprint group's ``stages`` (one
+entry for a single kernel, each with its cached plan or ``None``) and
+``execs``; the reply carries worker-compiled ``plans`` and lowered
+``lower.programs``, both keyed by stage fingerprint.  Chaos fault
+injection (:mod:`repro.service.chaos`) runs *inside* the worker, which
+is the point: an injected kill takes a real process down and the
+supervision machinery — not the test — has to recover.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as _np
 
+from ..integration.chaining import intermediate_grid_shape
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import get_tracer, span, trace_context
 from ..lower.engine import CompiledEngine, LoweringConfig
@@ -59,13 +64,11 @@ from .executor import (
     PlanValidationError,
     compile_plan,
     execute_pipeline,
-    execute_stencil,
     make_response,
     observe_stage,
     register_executor,
-    stage_summaries,
-    validate_pipeline,
-    validate_plan,
+    reply_fields,
+    validate_results,
     worse_cache_outcome,
 )
 from .fingerprint import CompileOptions
@@ -261,268 +264,27 @@ def _lowering_config_from_job(
     return LoweringConfig.from_json(raw)
 
 
-def _run_job(
+def _serve_job(
     job: Dict[str, Any],
     plans: Dict[str, CachedPlan],
     chaos: Optional[ChaosInjector],
     engine: Optional[CompiledEngine] = None,
 ) -> Dict[str, Any]:
-    """Execute one fingerprint group inside the worker process."""
-    from ..stencil.spec import StencilSpec
+    """Execute one same-fingerprint group inside the worker process.
 
-    fp = job["fingerprint"]
-    spec = StencilSpec.from_json(job["spec"])
-    options = CompileOptions.from_json(job["options"])
-    spans = _WorkerSpans()
-    # The compile (if one happens) serves the whole group; its span is
-    # attributed to the first traced exec.
-    group_trace = next(
-        (t for t in map(_exec_trace, job["execs"]) if t[0] is not None),
-        (None, None),
-    )
-    compiled_json: Optional[dict] = None
-    compile_ms = 0.0
-    if job.get("plan") is not None:
-        # The shared cache hit.  The transmitted plan is what the
-        # parent is vouching for, so it is what the canary must
-        # validate — a stale worker-local copy may only stand in for
-        # it when the content is identical, otherwise a poisoned
-        # shared entry would be validated against a clean local copy
-        # and survive.
-        plan = CachedPlan.from_json(job["plan"])
-        local = plans.get(fp)
-        if local is not None and local.to_json() == plan.to_json():
-            plan = local
-    else:
-        # A parent-side miss is authoritative: the plan may have been
-        # invalidated (poisoned entry, tripped breaker), so a stale
-        # worker-local copy must not resurrect it.
-        plans.pop(fp, None)
-        plan = None
-    if plan is None:
-        started = time.perf_counter()
-        compile_start_unix = time.time_ns()
-        try:
-            plan = compile_plan(spec, options, fp)
-        except Exception as exc:
-            return {"kind": "error", "error": f"compile failed: {exc}"}
-        compile_ms = (time.perf_counter() - started) * 1e3
-        spans.add(
-            "worker.compile",
-            compile_start_unix,
-            time.time_ns(),
-            group_trace[0],
-            group_trace[1],
-            fingerprint=fp[:12],
-        )
-        compiled_json = plan.to_json()
-    plans[fp] = plan
-    if len(plans) > 64:  # tiny worker-local cache, drop the oldest
-        plans.pop(next(iter(plans)))
-
-    # Lower the plan once per job when the compiled backend is on; the
-    # engine memoizes per fingerprint so warm jobs pay a dict lookup.
-    kernel = None
-    lower: Dict[str, Any] = {}
-    if job.get("backend") == "compiled" and engine is not None:
-        lower_cfg = _lowering_config_from_job(job)
-        lower_start_unix = time.time_ns()
-        try:
-            result = engine.kernel_for(
-                plan, spec=spec, config=lower_cfg
-            )
-        except LoweringUnsupported as exc:
-            lower["fallback_reasons"] = {
-                exc.reason: len(job["execs"])
-            }
-        except ProgramMismatchError as exc:
-            # The transmitted plan carries a corrupt stored program:
-            # fail every exec as a validation failure so the parent
-            # invalidates the shared entry — never a wrong answer.
-            engine.forget(fp)
-            plans.pop(fp, None)
-            return {
-                "kind": "result",
-                "plan": compiled_json,
-                "compile_ms": compile_ms,
-                "execs": [
-                    {
-                        "id": e["id"],
-                        "ok": False,
-                        "error_kind": "validation",
-                        "error": str(exc),
-                    }
-                    for e in job["execs"]
-                ],
-                "spans": spans.records,
-                "lower": lower,
-            }
-        else:
-            kernel = result.kernel
-            if result.built:
-                spans.add(
-                    "worker.lower",
-                    lower_start_unix,
-                    time.time_ns(),
-                    group_trace[0],
-                    group_trace[1],
-                    fingerprint=fp[:12],
-                )
-                lower["bufferize_ms"] = result.bufferize_ms
-                lower["convert_ms"] = result.convert_ms
-                lower["outcome"] = (
-                    "lowered"
-                    if result.program_json is not None
-                    else "cached"
-                )
-                lower["converter"] = result.converter
-                if result.converter_fallback is not None:
-                    lower["converter_fallback"] = 1
-            if result.program_json is not None:
-                lower["program"] = result.program_json
-                plan.buffer_program = result.program_json
-
-    exec_results: List[Dict[str, Any]] = []
-    for exc_spec in job["execs"]:
-        request_id = exc_spec["id"]
-        exec_trace_id, exec_parent = _exec_trace(exc_spec)
-        if chaos is not None:
-            chaos.apply(request_id, exc_spec.get("attempt", 0), fp)
-        try:
-            exec_start_unix = time.time_ns()
-            result_row: Optional[_np.ndarray] = None
-            if kernel is not None:
-                try:
-                    grid = engine.input_grid(spec, exc_spec["seed"])
-                    result_row = _np.ascontiguousarray(
-                        kernel.run(grid), dtype=_np.float64
-                    )
-                except Exception:
-                    # A kernel that cannot execute is a lowering gap:
-                    # this exec silently takes the interpreted path.
-                    lower["kernel_errors"] = (
-                        lower.get("kernel_errors", 0) + 1
-                    )
-                    reasons = lower.setdefault(
-                        "fallback_reasons", {}
-                    )
-                    reasons["kernel_error"] = (
-                        reasons.get("kernel_error", 0) + 1
-                    )
-                    result_row = None
-            if result_row is not None:
-                digest = hashlib.sha256(
-                    result_row.tobytes()
-                ).hexdigest()
-                n_outputs = int(result_row.size)
-                mean = (
-                    float(sum(result_row.tolist()) / result_row.size)
-                    if result_row.size
-                    else 0.0
-                )
-                lower["compiled"] = lower.get("compiled", 0) + 1
-            else:
-                grid, outputs, digest = execute_stencil(
-                    spec, exc_spec["seed"]
-                )
-                n_outputs = len(outputs)
-                mean = (
-                    float(sum(outputs) / len(outputs))
-                    if outputs
-                    else 0.0
-                )
-            spans.add(
-                "worker.execute",
-                exec_start_unix,
-                time.time_ns(),
-                exec_trace_id,
-                exec_parent,
-                request=request_id,
-                benchmark=spec.name,
-            )
-            validated: Optional[bool] = None
-            if exc_spec.get("validate"):
-                validate_start_unix = time.time_ns()
-                if result_row is not None:
-                    # The compiled canary first proves bit-identity
-                    # against the interpreted golden path.
-                    grid, outputs, golden_digest = execute_stencil(
-                        spec, exc_spec["seed"]
-                    )
-                    if golden_digest != digest:
-                        raise PlanValidationError(
-                            "compiled kernel outputs diverge from "
-                            "the golden reference"
-                        )
-                validate_plan(spec, options, plan, grid, outputs)
-                spans.add(
-                    "worker.validate",
-                    validate_start_unix,
-                    time.time_ns(),
-                    exec_trace_id,
-                    exec_parent,
-                    request=request_id,
-                )
-                validated = True
-            exec_results.append(
-                {
-                    "id": request_id,
-                    "ok": True,
-                    "n_outputs": n_outputs,
-                    "mean": mean,
-                    "checksum": digest[:16],
-                    "validated": validated,
-                }
-            )
-        except PlanValidationError as exc:
-            plans.pop(fp, None)  # the parent will invalidate too
-            if engine is not None:
-                engine.forget(fp)
-            exec_results.append(
-                {
-                    "id": request_id,
-                    "ok": False,
-                    "error_kind": "validation",
-                    "error": str(exc),
-                }
-            )
-        except Exception as exc:
-            exec_results.append(
-                {
-                    "id": request_id,
-                    "ok": False,
-                    "error_kind": "exception",
-                    "error": str(exc),
-                }
-            )
-    return {
-        "kind": "result",
-        "plan": compiled_json,
-        "compile_ms": compile_ms,
-        "execs": exec_results,
-        "spans": spans.records,
-        "lower": lower,
-    }
-
-
-def _run_pipeline_job(
-    job: Dict[str, Any],
-    plans: Dict[str, CachedPlan],
-    chaos: Optional[ChaosInjector],
-    engine: Optional[CompiledEngine] = None,
-) -> Dict[str, Any]:
-    """Execute one multi-stage workload group inside the worker.
-
-    Mirrors :func:`_run_job` stage by stage: every pipeline stage is
-    an ordinary plan under its own fingerprint (compiled here on a
-    parent-side miss and shipped home in ``plans``), intermediates
-    hand off in-process via the Fig 13c reshape, and each exec's reply
-    carries per-stage digests next to the final checksum.
+    ``job["stages"]`` lists the workload's stages in order (one for a
+    single kernel).  Each stage is an ordinary plan under its own
+    fingerprint: the transmitted plan when the parent's cache had it,
+    otherwise compiled here and shipped home in ``plans``.
+    Intermediates hand off in-process via the Fig 13c reshape, and each
+    exec's reply carries the fields of :func:`reply_fields`.
     """
     from ..stencil.spec import StencilSpec
     from .workload import PlannedStage
 
     spans = _WorkerSpans()
+    # The compiles (if any) serve the whole group; their spans are
+    # attributed to the first traced exec.
     group_trace = next(
         (t for t in map(_exec_trace, job["execs"]) if t[0] is not None),
         (None, None),
@@ -531,16 +293,25 @@ def _run_pipeline_job(
     compile_ms = 0.0
     stages: List[PlannedStage] = []
     stage_plans: List[CachedPlan] = []
-    for index, st in enumerate(job["pipeline"]):
+    for index, st in enumerate(job["stages"]):
         fp = st["fingerprint"]
         spec = StencilSpec.from_json(st["spec"])
         options = CompileOptions.from_json(st["options"])
         if st.get("plan") is not None:
+            # The shared cache hit.  The transmitted plan is what the
+            # parent is vouching for, so it is what the canary must
+            # validate — a stale worker-local copy may only stand in
+            # for it when the content is identical, otherwise a
+            # poisoned shared entry would be validated against a clean
+            # local copy and survive.
             plan = CachedPlan.from_json(st["plan"])
             local = plans.get(fp)
             if local is not None and local.to_json() == plan.to_json():
                 plan = local
         else:
+            # A parent-side miss is authoritative: the plan may have
+            # been invalidated (poisoned entry, tripped breaker), so a
+            # stale worker-local copy must not resurrect it.
             plans.pop(fp, None)
             plan = None
         if plan is None:
@@ -578,32 +349,33 @@ def _run_pipeline_job(
             )
         )
         stage_plans.append(plan)
-    while len(plans) > 64:
+    while len(plans) > 64:  # tiny worker-local cache, drop the oldest
         plans.pop(next(iter(plans)))
 
-    def _all_failed(error: str) -> Dict[str, Any]:
+    lower: Dict[str, Any] = {}
+
+    def forget_stages() -> None:
+        # The parent invalidates the shared entries too.
+        for stage in stages:
+            plans.pop(stage.fingerprint, None)
+            if engine is not None:
+                engine.forget(stage.fingerprint)
+
+    def reply(execs: List[Dict[str, Any]]) -> Dict[str, Any]:
         return {
             "kind": "result",
             "plans": compiled_plans,
             "compile_ms": compile_ms,
-            "execs": [
-                {
-                    "id": e["id"],
-                    "ok": False,
-                    "error_kind": "validation",
-                    "error": error,
-                }
-                for e in job["execs"]
-            ],
+            "execs": execs,
             "spans": spans.records,
             "lower": lower,
         }
 
-    # Lower every stage when the compiled backend is on; any refusal
-    # sends the whole pipeline down the interpreted chain (the
-    # hand-off bytes must come from one path).
+    # Lower every stage when the compiled backend is on (the engine
+    # memoizes per fingerprint, so warm jobs pay a dict lookup); any
+    # refusal sends the whole group down the interpreted chain — the
+    # hand-off bytes must come from one path.
     kernels: Optional[List] = None
-    lower: Dict[str, Any] = {}
     if job.get("backend") == "compiled" and engine is not None:
         lower_cfg = _lowering_config_from_job(job)
         lower_start_unix = time.time_ns()
@@ -640,10 +412,21 @@ def _run_pipeline_job(
             }
             kernels = None
         except ProgramMismatchError as exc:
-            for stage in stages:
-                engine.forget(stage.fingerprint)
-                plans.pop(stage.fingerprint, None)
-            return _all_failed(str(exc))
+            # A transmitted plan carries a corrupt stored program:
+            # fail every exec as a validation failure so the parent
+            # invalidates the shared entries — never a wrong answer.
+            forget_stages()
+            return reply(
+                [
+                    {
+                        "id": e["id"],
+                        "ok": False,
+                        "error_kind": "validation",
+                        "error": str(exc),
+                    }
+                    for e in job["execs"]
+                ]
+            )
         else:
             if built:
                 lower.setdefault("outcome", "cached")
@@ -672,14 +455,9 @@ def _run_pipeline_job(
             results = None
             if kernels is not None:
                 try:
-                    from ..integration.chaining import (
-                        intermediate_grid_shape,
-                    )
-
-                    grid = engine.input_grid(
+                    current = engine.input_grid(
                         stages[0].spec, exc_spec["seed"]
                     )
-                    current = grid
                     results = []
                     for idx, (stage, kernel) in enumerate(
                         zip(stages, kernels)
@@ -688,18 +466,16 @@ def _run_pipeline_job(
                             kernel.run(current), dtype=_np.float64
                         )
                         results.append(
-                            (
-                                arr,
-                                hashlib.sha256(
-                                    arr.data
-                                ).hexdigest(),
-                            )
+                            (arr, hashlib.sha256(arr.data).hexdigest())
                         )
                         if idx + 1 < len(stages):
                             current = arr.reshape(
                                 intermediate_grid_shape(stage.spec)
                             )
+                    lower["compiled"] = lower.get("compiled", 0) + 1
                 except Exception:
+                    # A kernel that cannot execute is a lowering gap:
+                    # this exec silently takes the interpreted path.
                     lower["kernel_errors"] = (
                         lower.get("kernel_errors", 0) + 1
                     )
@@ -710,13 +486,10 @@ def _run_pipeline_job(
                         reasons.get("kernel_error", 0) + 1
                     )
                     results = None
-            compiled_row = results is not None
             if results is None:
                 grid, results = execute_pipeline(
                     stages, exc_spec["seed"]
                 )
-            else:
-                lower["compiled"] = lower.get("compiled", 0) + 1
             spans.add(
                 "worker.execute",
                 exec_start_unix,
@@ -730,23 +503,8 @@ def _run_pipeline_job(
             validated: Optional[bool] = None
             if exc_spec.get("validate"):
                 validate_start_unix = time.time_ns()
-                if compiled_row:
-                    golden_grid, golden = execute_pipeline(
-                        stages, exc_spec["seed"]
-                    )
-                    for stage, (_, got), (_, want) in zip(
-                        stages, results, golden
-                    ):
-                        if got != want:
-                            raise PlanValidationError(
-                                f"compiled stage {stage.index} "
-                                f"({stage.spec.name}) outputs "
-                                "diverge from the golden chained "
-                                "reference"
-                            )
-                    grid, results = golden_grid, golden
-                validate_pipeline(
-                    stages, stage_plans, grid, results
+                validate_results(
+                    stages, stage_plans, exc_spec["seed"], results, grid
                 )
                 spans.add(
                     "worker.validate",
@@ -757,27 +515,16 @@ def _run_pipeline_job(
                     request=request_id,
                 )
                 validated = True
-            final_arr, final_digest = results[-1]
             exec_results.append(
                 {
                     "id": request_id,
                     "ok": True,
-                    "n_outputs": int(final_arr.size),
-                    "mean": (
-                        float(final_arr.mean())
-                        if final_arr.size
-                        else 0.0
-                    ),
-                    "checksum": final_digest[:16],
                     "validated": validated,
-                    "stages": stage_summaries(stages, results),
+                    "fields": reply_fields(stages, results),
                 }
             )
         except PlanValidationError as exc:
-            for stage in stages:
-                plans.pop(stage.fingerprint, None)
-                if engine is not None:
-                    engine.forget(stage.fingerprint)
+            forget_stages()
             exec_results.append(
                 {
                     "id": request_id,
@@ -795,14 +542,7 @@ def _run_pipeline_job(
                     "error": str(exc),
                 }
             )
-    return {
-        "kind": "result",
-        "plans": compiled_plans,
-        "compile_ms": compile_ms,
-        "execs": exec_results,
-        "spans": spans.records,
-        "lower": lower,
-    }
+    return reply(exec_results)
 
 
 def _worker_main(conn, shard_id: int, chaos_json: Optional[dict]) -> None:
@@ -827,10 +567,7 @@ def _worker_main(conn, shard_id: int, chaos_json: Optional[dict]) -> None:
             conn.send({"kind": "pong", "shard": shard_id})
             continue
         try:
-            if msg.get("pipeline"):
-                reply = _run_pipeline_job(msg, plans, chaos, engine)
-            else:
-                reply = _run_job(msg, plans, chaos, engine)
+            reply = _serve_job(msg, plans, chaos, engine)
         except Exception as exc:  # belt and braces: never die silently
             reply = {"kind": "error", "error": f"worker error: {exc}"}
         try:
@@ -1201,6 +938,13 @@ class ProcessPlanExecutor(ExecutorBase):
     def _process_group(
         self, shard: _WorkerShard, fp: str, items: List[WorkItem]
     ) -> None:
+        """One same-fingerprint group's worker round trip.
+
+        The breaker stays keyed on the request fingerprint (a workload
+        that kills workers quarantines as one unit), while plan-cache
+        traffic happens per stage fingerprint — so workload stages and
+        equivalent single-kernel requests share entries.
+        """
         dequeued_ns = time.perf_counter_ns()
         live: List[WorkItem] = []
         for item in items:
@@ -1237,25 +981,31 @@ class ProcessPlanExecutor(ExecutorBase):
             self._publish_breaker(fp, BREAKER_HALF_OPEN)
 
         exemplar = live[0]
-        if getattr(exemplar, "stages", None):
-            self._process_pipeline_group(shard, fp, live, breaker)
-            return
         started = time.perf_counter()
+        stage_plans: Dict[str, Optional[CachedPlan]] = {}
+        worst = "hit"
         with trace_context(
             exemplar.trace_id, exemplar.parent_span_id
         ), span(
             "service.cache_lookup",
             fingerprint=fp[:12],
+            stages=len(exemplar.stages),
             group=len(live),
         ) as lookup_span:
-            plan, tier = self.cache.lookup(fp)
-            outcome = {"memory": "hit", "disk": "disk", "miss": "miss"}[
-                tier
-            ]
-            lookup_span.annotate(outcome=outcome)
+            for stage in exemplar.stages:
+                plan, tier = self.cache.lookup(stage.fingerprint)
+                outcome = {
+                    "memory": "hit", "disk": "disk", "miss": "miss",
+                }[tier]
+                stage_plans[stage.fingerprint] = plan
+                self.registry.counter(
+                    "service_cache_total", {"outcome": outcome}
+                ).inc()
+                self._note_cache_outcome(stage.fingerprint, outcome)
+                worst = worse_cache_outcome(worst, outcome)
+            lookup_span.annotate(outcome=worst)
         lookup_ms = (time.perf_counter() - started) * 1e3
         observe_stage(self.registry, "cache_lookup", lookup_ms)
-        self._note_cache_outcome(fp, outcome)
 
         execs = []
         for item in live:
@@ -1276,9 +1026,20 @@ class ProcessPlanExecutor(ExecutorBase):
         job = {
             "kind": "job",
             "fingerprint": fp,
-            "spec": exemplar.spec.to_json(),
-            "options": exemplar.options.to_json(),
-            "plan": plan.to_json() if plan is not None else None,
+            "stages": [
+                {
+                    "fingerprint": stage.fingerprint,
+                    "name": stage.name,
+                    "spec": stage.spec.to_json(),
+                    "options": stage.options.to_json(),
+                    "plan": (
+                        stage_plans[stage.fingerprint].to_json()
+                        if stage_plans[stage.fingerprint] is not None
+                        else None
+                    ),
+                }
+                for stage in exemplar.stages
+            ],
             "backend": self.backend,
             "lower_config": self.lower_config,
             "execs": execs,
@@ -1348,212 +1109,15 @@ class ProcessPlanExecutor(ExecutorBase):
                 )
             return
 
-        # Harvest a worker-side compile into the shared cache.
-        if reply.get("plan") is not None:
-            self.cache.put(CachedPlan.from_json(reply["plan"]))
-            plan = CachedPlan.from_json(reply["plan"])
-            # A worker actually ran the Fig 11 flow: count the real
-            # compile, so single-flight tests can assert exact counts.
-            self.registry.counter("service_plan_compiles_total").inc()
-        plan = self._fold_lower(reply, plan)
-        self.registry.counter(
-            "service_cache_total", {"outcome": outcome}
-        ).inc()
-        self.registry.histogram(
-            "service_compile_ms",
-            {"cache": outcome},
-            buckets=LATENCY_BUCKETS_MS,
-        ).observe(
-            reply["compile_ms"] if outcome == "miss" else lookup_ms
-        )
-        self._on_breaker_success(fp, breaker)
-        self.registry.counter(
-            "service_pool_jobs_total", {"outcome": "ok"}
-        ).inc()
-
-        by_id = {item.request_id: item for item in live}
-        for result in reply["execs"]:
-            item = by_id.pop(result["id"], None)
-            if item is None:
-                continue
-            if result["ok"]:
-                self._resolve(
-                    item,
-                    make_response(
-                        item,
-                        "ok",
-                        cache=outcome,
-                        n_outputs=result["n_outputs"],
-                        mean=result["mean"],
-                        checksum=result["checksum"],
-                        validated=result["validated"],
-                        summary=plan.summary if plan else {},
-                    ),
-                )
-            elif result["error_kind"] == "validation":
-                self._resolve_validation_failure(
-                    item, outcome, result["error"]
-                )
-            else:
-                self._retry_or_fail(item, result["error"])
-        # Anything the worker did not answer for still gets a response.
-        for item in by_id.values():
-            self._retry_or_fail(
-                item, "worker reply missing this request"
-            )
-
-    def _process_pipeline_group(
-        self,
-        shard: _WorkerShard,
-        fp: str,
-        live: List[WorkItem],
-        breaker: CircuitBreaker,
-    ) -> None:
-        """One multi-stage workload group's worker round trip.
-
-        The breaker stays keyed on the *workload* fingerprint (a
-        pipeline that kills workers quarantines as one unit), while
-        plan-cache traffic happens per stage fingerprint — so pipeline
-        stages and equivalent single-kernel requests share entries.
-        """
-        exemplar = live[0]
-        started = time.perf_counter()
-        stage_plans: Dict[str, Optional[CachedPlan]] = {}
-        worst = "hit"
-        with trace_context(
-            exemplar.trace_id, exemplar.parent_span_id
-        ), span(
-            "service.cache_lookup",
-            fingerprint=fp[:12],
-            stages=len(exemplar.stages),
-            group=len(live),
-        ) as lookup_span:
-            for stage in exemplar.stages:
-                plan, tier = self.cache.lookup(stage.fingerprint)
-                outcome = {
-                    "memory": "hit", "disk": "disk", "miss": "miss",
-                }[tier]
-                stage_plans[stage.fingerprint] = plan
-                self.registry.counter(
-                    "service_cache_total", {"outcome": outcome}
-                ).inc()
-                self._note_cache_outcome(stage.fingerprint, outcome)
-                worst = worse_cache_outcome(worst, outcome)
-            lookup_span.annotate(outcome=worst)
-        lookup_ms = (time.perf_counter() - started) * 1e3
-        observe_stage(self.registry, "cache_lookup", lookup_ms)
-
-        execs = []
-        for item in live:
-            item.attempts += 1
-            validate = self._should_validate(item)
-            if validate:
-                self.registry.counter("service_validation_total").inc()
-            execs.append(
-                {
-                    "id": item.request_id,
-                    "seed": item.seed,
-                    "validate": validate,
-                    "attempt": item.attempts,
-                    "trace_id": item.trace_id,
-                    "parent_span_id": item.parent_span_id,
-                }
-            )
-        job = {
-            "kind": "job",
-            "fingerprint": fp,
-            "pipeline": [
-                {
-                    "fingerprint": stage.fingerprint,
-                    "name": stage.name,
-                    "spec": stage.spec.to_json(),
-                    "options": stage.options.to_json(),
-                    "plan": (
-                        stage_plans[stage.fingerprint].to_json()
-                        if stage_plans[stage.fingerprint] is not None
-                        else None
-                    ),
-                }
-                for stage in exemplar.stages
-            ],
-            "backend": self.backend,
-            "lower_config": self.lower_config,
-            "execs": execs,
-        }
-        budget_s = min(
-            max(item.deadline for item in live)
-            - time.monotonic()
-            + 0.25,
-            self.hang_timeout_s,
-        )
-        budget_s = max(budget_s, 0.05)
-
-        call_start_ns = time.perf_counter_ns()
-        with trace_context(
-            exemplar.trace_id, exemplar.parent_span_id
-        ), span(
-            "service.pool_call",
-            shard=shard.index,
-            fingerprint=fp[:12],
-            group=len(live),
-        ):
-            with shard.lock:
-                status, reply = self._call_worker(shard, job, budget_s)
-                if status != "ok":
-                    self._restart_worker(
-                        shard, "death" if status == "died" else "hang"
-                    )
-        observe_stage(
-            self.registry,
-            "pool_roundtrip",
-            (time.perf_counter_ns() - call_start_ns) / 1e6,
-        )
-        if reply is not None:
-            self._harvest_worker_spans(reply)
-        if status != "ok":
-            reason = (
-                "worker_death" if status == "died" else "worker_hang"
-            )
-            self._record_lethal(fp, reason)
-            for item in live:
-                if item.expired():
-                    self._resolve_timeout(item)
-                else:
-                    item.shard_hops += 1
-                    self._retry_or_fail(
-                        item,
-                        f"worker {status} while executing workload "
-                        f"{fp[:12]}",
-                        backoff=False,
-                        kind="worker_lost",
-                    )
-            return
-
-        if reply.get("kind") == "error":
-            self._on_breaker_success(fp, breaker)
-            self.registry.counter(
-                "service_pool_jobs_total", {"outcome": "compile_error"}
-            ).inc()
-            for item in live:
-                self._retry_or_fail(
-                    item, reply["error"], kind="compile_failed"
-                )
-            return
-
         # Harvest worker-side stage compiles into the shared cache.
         for plan_json in (reply.get("plans") or {}).values():
             harvested = CachedPlan.from_json(plan_json)
             self.cache.put(harvested)
             stage_plans[harvested.fingerprint] = harvested
+            # A worker actually ran the Fig 11 flow: count the real
+            # compile, so single-flight tests can assert exact counts.
             self.registry.counter("service_plan_compiles_total").inc()
-        # Persist worker-side lowerings as the plans' cache sidecars.
-        lower = reply.get("lower") or {}
-        for stage_fp, program in (lower.get("programs") or {}).items():
-            plan = stage_plans.get(stage_fp)
-            if plan is not None:
-                plan.buffer_program = program
-                self.cache.put(plan)
-        self._fold_lower(reply, None)
+        self._fold_lower(reply, stage_plans)
         self.registry.histogram(
             "service_compile_ms",
             {"cache": worst},
@@ -1579,56 +1143,46 @@ class ProcessPlanExecutor(ExecutorBase):
                         item,
                         "ok",
                         cache=worst,
-                        n_outputs=result["n_outputs"],
-                        mean=result["mean"],
-                        checksum=result["checksum"],
                         validated=result["validated"],
                         summary=(
                             final_plan.summary if final_plan else {}
                         ),
-                        stages=result.get("stages"),
+                        **result["fields"],
                     ),
                 )
             elif result["error_kind"] == "validation":
-                for stage in item.stages:
-                    self.cache.invalidate(stage.fingerprint)
-                self.registry.counter(
-                    "service_validation_failures_total"
-                ).inc()
-                self._resolve(
-                    item,
-                    make_response(
-                        item,
-                        "validation_failed",
-                        cache=worst,
-                        validated=False,
-                        error=result["error"],
-                    ),
+                self._resolve_validation_failure(
+                    item, worst, result["error"]
                 )
             else:
                 self._retry_or_fail(item, result["error"])
+        # Anything the worker did not answer for still gets a response.
         for item in by_id.values():
             self._retry_or_fail(
                 item, "worker reply missing this request"
             )
 
     def _fold_lower(
-        self, reply: Dict[str, Any], plan: Optional[CachedPlan]
-    ) -> Optional[CachedPlan]:
+        self,
+        reply: Dict[str, Any],
+        stage_plans: Dict[str, Optional[CachedPlan]],
+    ) -> None:
         """Attribute the worker's lowering work in the parent registry.
 
         Pool workers have no metrics registry (they may be chaos-killed
         at any instant), so the reply's ``lower`` dict carries stage
         timings, path counts and — on first lowering — the buffer
-        program to persist as the shared cache's sidecar.
+        programs (keyed by stage fingerprint) to persist as the shared
+        cache's sidecars.
         """
         lower = reply.get("lower")
         if not lower:
-            return plan
-        program = lower.get("program")
-        if program is not None and plan is not None:
-            plan.buffer_program = program
-            self.cache.put(plan)
+            return
+        for stage_fp, program in (lower.get("programs") or {}).items():
+            plan = stage_plans.get(stage_fp)
+            if plan is not None:
+                plan.buffer_program = program
+                self.cache.put(plan)
         outcome = lower.get("outcome")
         if outcome is not None:
             observe_stage(
@@ -1673,7 +1227,6 @@ class ProcessPlanExecutor(ExecutorBase):
             self.registry.counter(
                 "service_lower_kernel_errors_total"
             ).inc(kernel_errors)
-        return plan
 
     def _harvest_worker_spans(self, reply: Dict[str, Any]) -> None:
         """Fold the worker's stage spans into this process's tracer
@@ -1708,14 +1261,12 @@ def _make_process_executor(
     config, shared, fault_hook
 ) -> ProcessPlanExecutor:
     """``worker_mode="process"``: the crash-isolated sharded pool."""
-    from ..lower.executor import lowering_config_from_service
-
     return ProcessPlanExecutor(
         breaker_threshold=config.breaker_threshold,
         breaker_cooldown_s=config.breaker_cooldown_s,
         hang_timeout_s=config.hang_timeout_s,
         chaos=config.chaos,
-        backend=getattr(config, "backend", "interpreted"),
-        lower_config=lowering_config_from_service(config).to_json(),
+        backend=config.backend,
+        lower_config=config.lowering.to_json(),
         **shared,
     )

@@ -114,12 +114,9 @@ class NodeConfig:
     max_batch: int = 16
     worker_mode: str = "thread"
     backend: str = "interpreted"  # execution backend on every node
-    converter: str = "numpy"  # kernel converter under "compiled"
-    #: The resolved lowering configuration shipped to every node as
-    #: one ``--lowering`` JSON pass-through.  Derived from
-    #: ``converter`` when unset; when given, ``converter`` mirrors it
-    #: so existing readers keep working.
-    lowering: Optional[LoweringConfig] = None
+    #: The lowering configuration shipped to every node as one
+    #: ``--lowering`` JSON pass-through (omitted when default).
+    lowering: LoweringConfig = field(default_factory=LoweringConfig)
     validate_every: int = 0
     cache_dir: Optional[str] = None  # share across nodes for failover
     hang_timeout_s: float = 60.0
@@ -137,20 +134,10 @@ class NodeConfig:
                 f"transport must be 'pipe' or 'tcp', "
                 f"got {self.transport!r}"
             )
-        if self.lowering is None:
-            object.__setattr__(
-                self,
-                "lowering",
-                LoweringConfig(converter=self.converter),
-            )
-        elif not isinstance(self.lowering, LoweringConfig):
+        if not isinstance(self.lowering, LoweringConfig):
             raise ValueError(
                 "lowering must be a LoweringConfig, got "
                 f"{type(self.lowering).__name__}"
-            )
-        else:
-            object.__setattr__(
-                self, "converter", self.lowering.converter
             )
 
     def argv(self) -> List[str]:
@@ -169,9 +156,7 @@ class NodeConfig:
         ]
         if self.backend != "interpreted":
             out += ["--backend", self.backend]
-        if self.lowering is not None and (
-            self.lowering.to_json() != LoweringConfig().to_json()
-        ):
+        if self.lowering != LoweringConfig():
             # One consolidated pass-through instead of per-knob flags.
             out += [
                 "--lowering",

@@ -25,11 +25,12 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..stencil.spec import StencilSpec
 from .fingerprint import CompileOptions
 from .proto import Response
+from .workload import PlannedStage
 
 __all__ = ["QueueClosedError", "ResultSlot", "Scheduler", "WorkItem"]
 
@@ -107,12 +108,14 @@ class WorkItem:
     seed: int
     deadline: float  # time.monotonic() deadline
     slot: ResultSlot
-    #: Multi-stage pipeline plan (a tuple of
-    #: :class:`repro.service.workload.PlannedStage`) when this item is
-    #: a lowered workload of more than one stage; ``spec``/``options``
-    #: then mirror stage 0 and ``fingerprint`` is the workload
-    #: fingerprint.  ``None`` for ordinary single-kernel items.
-    stages: Optional[tuple] = None
+    #: The stages to execute, in order: a non-empty tuple of
+    #: :class:`repro.service.workload.PlannedStage`.  A single kernel
+    #: is a one-stage workload; left empty, the tuple is built from
+    #: ``spec``/``options``/``fingerprint``.  ``spec``/``options``
+    #: mirror stage 0, and ``fingerprint`` is the request fingerprint
+    #: (the plan fingerprint for one stage, the workload fingerprint
+    #: otherwise).
+    stages: Tuple[PlannedStage, ...] = ()
     #: Display name for multi-stage items (e.g. ``DENOISE->RICIAN``);
     #: responses fall back to ``spec.name`` when unset.
     label: Optional[str] = None
@@ -136,6 +139,18 @@ class WorkItem:
     #: synthetic items built directly in tests).
     request: Optional[Any] = None  # proto.Request
     raw: Dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not self.stages:
+            self.stages = (
+                PlannedStage(
+                    index=0,
+                    name=self.spec.name,
+                    spec=self.spec,
+                    options=self.options,
+                    fingerprint=self.fingerprint,
+                ),
+            )
 
     def expired(self, now: Optional[float] = None) -> bool:
         return (now or time.monotonic()) > self.deadline

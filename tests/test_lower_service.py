@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.lower.engine import LoweringConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import format_fabric_summary, format_service_metrics
 from repro.service import ServiceConfig, StencilService
@@ -471,10 +472,94 @@ class TestBackendCli:
     def test_node_config_forwards_converter(self):
         from repro.service.router import NodeConfig
 
-        argv = NodeConfig(backend="compiled", converter="c").argv()
+        argv = NodeConfig(
+            backend="compiled", lowering=LoweringConfig(converter="c")
+        ).argv()
         lowering = json.loads(argv[argv.index("--lowering") + 1])
         assert lowering["converter"] == "c"
         assert "--lowering" not in NodeConfig().argv()
+
+
+class TestLoweringConfigValidation:
+    """``LoweringConfig`` is the one validated carrier of the lowering
+    knobs: the constructor, the wire codec and every CLI spelling
+    reject the same bad values."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"converter": "bogus"},
+            {"gather_limit": -1},
+            {"gather_limit": 0},
+            {"gather_hard_limit": 0},
+            {"gather_limit": True},
+            {"gather_limit": 2.5},
+            {"gather_hard_limit": "4"},
+        ],
+    )
+    def test_constructor_and_codec_reject(self, kwargs):
+        with pytest.raises(ValueError):
+            LoweringConfig(**kwargs)
+        with pytest.raises(ValueError):
+            LoweringConfig.from_json(kwargs)
+
+    def test_codec_round_trips_and_defaults_missing_keys(self):
+        config = LoweringConfig(
+            converter="c", gather_limit=7, gather_hard_limit=9,
+            artifact_dir="plans",
+        )
+        assert LoweringConfig.from_json(config.to_json()) == config
+        assert LoweringConfig.from_json(
+            {"gather_limit": None}
+        ) == LoweringConfig()
+        assert LoweringConfig.from_json(None) == LoweringConfig()
+
+    def test_service_config_takes_only_a_lowering_config(self, tmp_path):
+        with pytest.raises(ValueError, match="LoweringConfig"):
+            ServiceConfig(lowering={"converter": "c"})
+        config = ServiceConfig(
+            cache_dir=str(tmp_path),
+            lowering=LoweringConfig(gather_limit=256),
+        )
+        assert config.lowering.gather_limit == 256
+        assert config.lowering.artifact_dir == str(tmp_path)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lowering", '{"gather_limit": -1}'],
+            ["--lowering", '{"gather_limit": 0}'],
+            ["--lowering", '{"converter": "bogus"}'],
+            ["--gather-limit", "-1"],
+            ["--gather-limit", "0"],
+            ["--converter", "bogus"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    @pytest.mark.parametrize("command", ["submit", "route"])
+    def test_cli_rejects_with_one_line_error(self, capsys, command, flags):
+        argv = [command] + (["DENOISE"] if command == "submit" else [])
+        rc = main(argv + ["--backend", "compiled"] + flags)
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ")
+        assert "\n" not in err
+
+    def test_lowering_flag_wins_over_legacy_flags(self):
+        import argparse
+
+        from repro.cli import _lowering_from_args
+
+        args = argparse.Namespace(
+            lowering='{"gather_limit": 64}',
+            converter="c",
+            gather_limit=128,
+        )
+        assert _lowering_from_args(args) == LoweringConfig(gather_limit=64)
+        args.lowering = None
+        assert _lowering_from_args(args) == LoweringConfig(
+            converter="c", gather_limit=128
+        )
 
 
 class TestLoweringReport:
@@ -486,7 +571,10 @@ class TestLoweringReport:
         # lowering refusal served interpreted — the report must show
         # both sides of the split.
         svc = StencilService(
-            ServiceConfig(backend="compiled", gather_hard_limit=4),
+            ServiceConfig(
+                backend="compiled",
+                lowering=LoweringConfig(gather_hard_limit=4),
+            ),
             registry=registry,
         )
         with svc:
