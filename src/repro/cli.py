@@ -560,7 +560,7 @@ def _stream_jsonl(submit_line, lines) -> None:
     A writer thread blocks on the oldest unanswered slot, so a
     long-running head request delays (but never drops) the responses
     behind it, and every response is flushed the moment it is ready —
-    required by the router, whose nodes answer over these pipes while
+    required by the router, whose nodes answer over their sockets while
     more requests keep arriving.
     """
     slots: "queue.Queue" = queue.Queue()
@@ -593,8 +593,8 @@ def cmd_serve(args) -> int:
     graceful drain on EOF.  With ``--listen`` the data plane moves to
     a TCP socket (handshaken proto:1 JSONL); stdout carries a single
     ``{"listening": "host:port"}`` announcement and stdin keeps its
-    lifecycle role — EOF still means drain-and-exit, so supervisors
-    (the router) manage socket nodes exactly like pipe nodes."""
+    lifecycle role — EOF still means drain-and-exit, which is how the
+    router stops the nodes it spawns."""
     from .service import StencilService
 
     with _obs_session(args):
@@ -700,9 +700,6 @@ def cmd_route(args) -> int:
         )
     lowering = _lowering_from_args(args)
     remotes = tuple(getattr(args, "connect", None) or ())
-    transport = getattr(args, "transport", "pipe")
-    if remotes:
-        transport = "tcp"
     node = NodeConfig(
         workers=args.workers,
         queue=args.queue,
@@ -713,7 +710,6 @@ def cmd_route(args) -> int:
         validate_every=args.validate_every,
         cache_dir=args.cache_dir,
         hang_timeout_s=args.hang_timeout,
-        transport=transport,
         extra_args=tuple(extra),
     )
     config = RouterConfig(
@@ -745,7 +741,7 @@ def cmd_route(args) -> int:
         )
         _stream_jsonl(router.submit_json, sys.stdin)
         if args.fabric_snapshot:
-            # Collected over the live node pipes, so it must happen
+            # Collected over the live node connections, so it must happen
             # before close() tears the fabric down.
             with open(args.fabric_snapshot, "w", encoding="utf-8") as fh:
                 json.dump(router.fabric_snapshot(), fh, sort_keys=True)
@@ -1149,28 +1145,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     router_group.add_argument(
-        "--transport", choices=["pipe", "tcp"], default="pipe",
-        help=(
-            "how the router reaches its nodes: proto:1 JSONL over "
-            "subprocess pipes (default), or over localhost TCP "
-            "sockets with handshake, reconnect backoff and "
-            "heartbeats (nodes are spawned with --listen)"
-        ),
-    )
-    router_group.add_argument(
         "--connect", action="append", default=None, metavar="ADDR",
         dest="connect",
         help=(
             "connect to an already-running `repro serve --listen` "
             "endpoint (host:port) instead of spawning nodes; repeat "
-            "for more nodes — implies --transport tcp and overrides "
-            "--nodes"
+            "for more nodes — overrides --nodes"
         ),
     )
     router_group.add_argument(
         "--conn-kill-rate", type=float, default=0.0, metavar="P",
         help=(
-            "connection chaos (tcp transport): sever the owning "
+            "connection chaos: sever the owning "
             "node's socket right after dispatch on fraction P of "
             "attempts (seeded by --chaos-seed)"
         ),
@@ -1185,7 +1171,7 @@ def build_parser() -> argparse.ArgumentParser:
     router_group.add_argument(
         "--fabric-snapshot", default=None, metavar="FILE",
         help=(
-            "collect every node's metrics over the live pipes on "
+            "collect every node's metrics over the live connections on "
             "shutdown and write the aggregated fabric snapshot as "
             "JSON (input for `repro top`)"
         ),

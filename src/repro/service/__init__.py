@@ -43,8 +43,8 @@ a long-running service around that observation:
 * :mod:`repro.service.transport` — the TCP socket transport for the
   proto:1 wire protocol: connect-time handshakes, reconnect with
   seeded full-jitter backoff, heartbeat wedge detection and seeded
-  socket-level fault injection (``repro serve --listen``,
-  ``repro route --transport tcp`` / ``--connect``);
+  socket-level fault injection (``repro serve --listen`` and the
+  data plane of ``repro route``, ``--connect`` included);
 * :mod:`repro.service.lease` — cross-process single-flight lease
   files in a shared ``cache_dir``, so N routers sharing a cache
   perform exactly one cold compile per fingerprint (pid-liveness

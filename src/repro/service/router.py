@@ -2,9 +2,10 @@
 
 :class:`Router` is the front end of a small cluster: it owns the
 client-facing JSONL surface, spawns N *service nodes* (each one a
-``repro serve`` subprocess speaking the :mod:`repro.service.proto`
-JSONL protocol over its stdin/stdout pipes) and places every request
-on one node by **rendezvous hashing** its plan fingerprint:
+``repro serve --listen`` subprocess speaking the
+:mod:`repro.service.proto` JSONL protocol over a localhost TCP
+connection) and places every request on one node by **rendezvous
+hashing** its plan fingerprint:
 
 * the fingerprint is computed *at the router* from the parsed
   request, so placement needs no node round trip;
@@ -120,19 +121,18 @@ class NodeConfig:
     validate_every: int = 0
     cache_dir: Optional[str] = None  # share across nodes for failover
     hang_timeout_s: float = 60.0
-    #: ``"pipe"`` (default): proto:1 JSONL over the subprocess's
-    #: stdin/stdout.  ``"tcp"``: the node listens on localhost
-    #: (``repro serve --listen``) and the router connects through
-    #: :mod:`repro.service.transport` — handshake, reconnect with
-    #: backoff, heartbeats.  Every pipe-path behavior is unchanged.
-    transport: str = "pipe"
+    #: Always ``"tcp"``: every node listens on localhost and the router
+    #: connects through :mod:`repro.service.transport`.  The field is
+    #: kept only because the benchmark harness still passes
+    #: ``transport="tcp"``; the next change to the benchmark drops that
+    #: argument, and this field with it.
+    transport: str = "tcp"
     extra_args: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.transport not in ("pipe", "tcp"):
+        if self.transport != "tcp":
             raise ValueError(
-                f"transport must be 'pipe' or 'tcp', "
-                f"got {self.transport!r}"
+                f"transport must be 'tcp', got {self.transport!r}"
             )
         if not isinstance(self.lowering, LoweringConfig):
             raise ValueError(
@@ -164,10 +164,9 @@ class NodeConfig:
             ]
         if self.cache_dir:
             out += ["--cache-dir", self.cache_dir]
-        if self.transport == "tcp":
-            # Port 0: the node binds an ephemeral port and announces
-            # it as a ``{"listening": "host:port"}`` line on stdout.
-            out += ["--listen", "127.0.0.1:0"]
+        # Port 0: the node binds an ephemeral port and announces it as
+        # a ``{"listening": "host:port"}`` line on stdout.
+        out += ["--listen", "127.0.0.1:0"]
         out += list(self.extra_args)
         return out
 
@@ -183,18 +182,19 @@ class RouterConfig:
     failover_grace_s: float = 2.0  # wedge = deadline + this, no reply
     monitor_interval_s: float = 0.05
     node_metrics_dir: Optional[str] = None  # node-N.json on clean exit
-    #: Directory for per-process JSONL trace files: each node exports
-    #: ``node-<idx>-g<generation>.jsonl`` on clean exit (the generation
-    #: suffix keeps a respawned node from overwriting its predecessor).
+    #: Directory for per-process JSONL trace files: each node process
+    #: exports ``node-<idx>-g<spawn>.jsonl`` on clean exit, where
+    #: ``<spawn>`` counts that node's processes from 0 (so a respawned
+    #: node never overwrites its predecessor's file).
     #: The router's own tracer is installed by the caller (the CLI
     #: writes ``router.jsonl`` beside them); stitch with
     #: :func:`repro.obs.stitch.stitch_traces` / ``repro trace``.
     trace_dir: Optional[str] = None
     chaos_seed: int = 2014
     node_kill_rate: float = 0.0  # kill the owning node after dispatch
-    #: Seeded *connection* chaos (TCP transport only): sever the
-    #: owning node's socket right after a successful dispatch write —
-    #: the in-flight request must fail over, never drop.
+    #: Seeded *connection* chaos: sever the owning node's socket right
+    #: after a successful dispatch write — the in-flight request must
+    #: fail over, never drop.
     conn_kill_rate: float = 0.0
     #: Already-running ``repro serve --listen`` endpoints
     #: (``host:port``) the router connects to instead of spawning
@@ -215,16 +215,6 @@ class RouterConfig:
             raise ValueError("node_kill_rate must be in [0, 1]")
         if not 0.0 <= self.conn_kill_rate <= 1.0:
             raise ValueError("conn_kill_rate must be in [0, 1]")
-        if self.conn_kill_rate and self.transport != "tcp":
-            raise ValueError(
-                "conn_kill_rate needs the tcp transport "
-                "(there is no connection to kill over pipes)"
-            )
-
-    @property
-    def transport(self) -> str:
-        """The resolved fabric transport (remotes force ``tcp``)."""
-        return "tcp" if self.remotes else self.node.transport
 
     def backoff(self) -> BackoffPolicy:
         return BackoffPolicy(
@@ -262,32 +252,37 @@ class _Pending:
 
 
 class _Node:
-    """One supervised ``repro serve`` subprocess behind pipes."""
+    """One supervised local ``repro serve --listen`` subprocess.
 
-    transport = "pipe"
+    Lifecycle rides the subprocess pipes: the node announces its port
+    as one ``{"listening": "host:port"}`` stdout line, and stdin EOF
+    makes it drain, export its metrics and exit.  *Data* rides the TCP
+    connection.  ``generation`` advances on every successful
+    **connect** — a lost connection orphans exactly the requests
+    written into it, whether or not the process survived — and
+    :meth:`send` refuses a write aimed at a replaced connection.
+    """
 
     def __init__(self, idx: int, config: RouterConfig) -> None:
         self.idx = idx
         self.config = config
         self.proc: Optional[subprocess.Popen] = None
+        self.conn: Optional[SocketConnection] = None
+        self.address: Optional[Tuple[str, int]] = None
         self.generation = -1
+        self.spawn_count = 0  # processes started; names trace files
         self.write_lock = threading.Lock()
         self.closing = False  # stdin EOF sent (graceful drain)
         #: Unix time of the last line received from this node (0 =
         #: never) — what ``repro top`` renders for unreachable rows.
         self.last_seen = 0.0
-
-    def ready(self) -> bool:
-        """Dispatchable right now (for TCP: *connected*)."""
-        return self.alive()
-
-    def break_link(self) -> None:
-        """Force the failover path for everything in flight here.
-
-        Over pipes the process *is* the link, so this kills it; the
-        TCP override severs just the connection and keeps the (still
-        healthy) process for the reconnect."""
-        self.kill()
+        self.heartbeat = Heartbeat(
+            interval_s=config.heartbeat_interval_s,
+            timeout_s=config.heartbeat_timeout_s,
+        )
+        #: Reconnect pacing: the monitor skips this node until here.
+        self.next_attempt_at = 0.0
+        self.connect_attempt = 0
 
     def _argv(self) -> List[str]:
         out = self.config.node.argv()
@@ -304,12 +299,13 @@ class _Node:
                 "--trace-out",
                 os.path.join(
                     self.config.trace_dir,
-                    f"node-{self.idx}-g{self.generation + 1}.jsonl",
+                    f"node-{self.idx}-g{self.spawn_count}.jsonl",
                 ),
             ]
         return out
 
     def spawn(self) -> None:
+        """Start the process and read its ``listening`` announcement."""
         env = os.environ.copy()
         # Make ``python -m repro`` resolvable even when the parent was
         # launched from outside the source tree.
@@ -327,102 +323,8 @@ class _Node:
             bufsize=1,
             env=env,
         )
-        self.generation += 1
-        self.closing = False
-
-    def alive(self) -> bool:
-        return self.proc is not None and self.proc.poll() is None
-
-    def send(self, wire: dict, generation: int) -> None:
-        """Write one request line to process ``generation``.
-
-        Raises OSError on a dead pipe *or* when the node has been
-        respawned since the caller picked it — without the generation
-        check a request registered against the old process could be
-        written into the new one's stdin, double-serving it after the
-        caller's failover re-dispatch.
-        """
-        line = json.dumps(wire, sort_keys=True) + "\n"
-        with self.write_lock:
-            if self.generation != generation:
-                raise BrokenPipeError("node was respawned")
-            if self.proc is None or self.proc.stdin is None:
-                raise BrokenPipeError("node has no stdin")
-            self.proc.stdin.write(line)
-            self.proc.stdin.flush()
-
-    def kill(self) -> None:
-        if self.proc is not None and self.proc.poll() is None:
-            self.proc.kill()
-
-    def close_stdin(self) -> None:
-        """EOF = graceful drain; the node answers stragglers, exports
-        its metrics file and exits on its own."""
-        self.closing = True
-        with self.write_lock:
-            if self.proc is not None and self.proc.stdin is not None:
-                try:
-                    self.proc.stdin.close()
-                except OSError:
-                    pass
-
-
-class _TcpNode(_Node):
-    """A local ``repro serve --listen`` node reached over a socket.
-
-    Lifecycle (drain-on-stdin-EOF, metrics export, respawn) stays on
-    the subprocess pipes; *data* rides the TCP connection.  The node's
-    ``generation`` advances on every successful **connect** — a lost
-    connection orphans exactly the requests written into it, whether
-    or not the process survived — and :meth:`send` keeps the same
-    generation-checked contract the pipe path has.
-    """
-
-    transport = "tcp"
-
-    def __init__(self, idx: int, config: RouterConfig) -> None:
-        super().__init__(idx, config)
-        self.conn: Optional[SocketConnection] = None
-        self.address: Optional[Tuple[str, int]] = None
-        self.heartbeat = Heartbeat(
-            interval_s=config.heartbeat_interval_s,
-            timeout_s=config.heartbeat_timeout_s,
-        )
-        self.spawn_count = 0
-        #: Reconnect pacing: the monitor skips this node until here.
-        self.next_attempt_at = 0.0
-        self.connect_attempt = 0
-
-    def _argv(self) -> List[str]:
-        # The base names trace files by generation (== spawn count for
-        # pipes); here generations advance per *connect*, so count
-        # spawns separately to keep one trace file per process.
-        out = self.config.node.argv()
-        if self.config.node_metrics_dir:
-            out += [
-                "--metrics-out",
-                os.path.join(
-                    self.config.node_metrics_dir,
-                    f"node-{self.idx}.json",
-                ),
-            ]
-        if self.config.trace_dir:
-            out += [
-                "--trace-out",
-                os.path.join(
-                    self.config.trace_dir,
-                    f"node-{self.idx}-g{self.spawn_count + 1}.jsonl",
-                ),
-            ]
-        return out
-
-    def spawn(self) -> None:
-        """Start the process and read its ``listening`` announcement."""
-        super().spawn()
-        self.generation -= 1  # undo: TCP generations advance on connect
         self.spawn_count += 1
         self.address = None
-        assert self.proc is not None and self.proc.stdout is not None
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             line = self.proc.stdout.readline()
@@ -457,12 +359,21 @@ class _TcpNode(_Node):
         self.next_attempt_at = 0.0
 
     def ready(self) -> bool:
+        """Dispatchable right now: connected."""
         return self.conn is not None and not self.conn.closed
 
     def needs_respawn(self) -> bool:
         return self.proc is None or self.proc.poll() is not None
 
     def send(self, wire: dict, generation: int) -> None:
+        """Write one request line into connection ``generation``.
+
+        Raises OSError on a dead link *or* when the node reconnected
+        since the caller picked it — without the generation check a
+        request registered against the old connection could be written
+        into the new one, double-serving it after the caller's
+        failover re-dispatch.
+        """
         with self.write_lock:
             if self.generation != generation:
                 raise BrokenPipeError("node connection was replaced")
@@ -472,18 +383,29 @@ class _TcpNode(_Node):
         conn.send(wire)
 
     def break_link(self) -> None:
+        """Sever the connection: everything in flight on it fails
+        over, and the (possibly still healthy) process is redialled."""
         if self.conn is not None:
             self.conn.close()
 
     def kill(self) -> None:
-        super().kill()
+        if self.proc is not None and self.proc.poll() is None:
+            self.proc.kill()
         self.break_link()
 
     def close_stdin(self) -> None:
-        super().close_stdin()  # child drains, exports metrics, exits
+        """EOF = graceful drain; the node answers stragglers, exports
+        its metrics file and exits on its own."""
+        self.closing = True
+        with self.write_lock:
+            if self.proc is not None and self.proc.stdin is not None:
+                try:
+                    self.proc.stdin.close()
+                except OSError:
+                    pass
 
 
-class _RemoteNode(_TcpNode):
+class _RemoteNode(_Node):
     """An externally managed ``repro serve --listen`` endpoint.
 
     The router supervises only the connection: it reconnects with
@@ -497,10 +419,7 @@ class _RemoteNode(_TcpNode):
         self.address = address
 
     def spawn(self) -> None:
-        self.spawn_count += 1  # no process: the endpoint just exists
-
-    def alive(self) -> bool:
-        return self.ready()
+        pass  # no process: the endpoint just exists
 
     def needs_respawn(self) -> bool:
         return False
@@ -529,21 +448,14 @@ class Router:
     ) -> None:
         self.config = config or RouterConfig()
         self.metrics = registry or get_metrics() or MetricsRegistry()
-        if self.config.remotes:
-            self._nodes: List[_Node] = [
+        self._nodes: List[_Node] = (
+            [
                 _RemoteNode(i, self.config, parse_address(addr))
                 for i, addr in enumerate(self.config.remotes)
             ]
-        elif self.config.transport == "tcp":
-            self._nodes = [
-                _TcpNode(i, self.config)
-                for i in range(self.config.nodes)
-            ]
-        else:
-            self._nodes = [
-                _Node(i, self.config)
-                for i in range(self.config.nodes)
-            ]
+            if self.config.remotes
+            else [_Node(i, self.config) for i in range(self.config.nodes)]
+        )
         self._hello = Hello(
             node_id=f"router-{os.getpid()}",
             role="client",
@@ -625,7 +537,10 @@ class Router:
                 self.config.node.cache_dir, registry=self.metrics
             )
         for node in self._nodes:
-            self._spawn_node(node)
+            node.spawn()
+            # A failed first connect is not fatal: the monitor keeps
+            # retrying with backoff until the endpoint answers.
+            self._connect(node)
         self._monitor = threading.Thread(
             target=self._monitor_loop,
             name="router-monitor",
@@ -634,26 +549,7 @@ class Router:
         self._monitor.start()
         return self
 
-    def _spawn_node(self, node: _Node) -> None:
-        node.spawn()
-        if isinstance(node, _TcpNode):
-            # A failed first connect is not fatal: the monitor keeps
-            # retrying with backoff until the endpoint answers.
-            self._connect_tcp(node)
-            return
-        reader = threading.Thread(
-            target=self._read_loop,
-            args=(node, node.generation),
-            name=f"router-node-{node.idx}-reader",
-            daemon=True,
-        )
-        reader.start()
-        self._readers.append(reader)
-        self.metrics.gauge(
-            "router_node_up", self._node_labels(node.idx)
-        ).set(1)
-
-    def _connect_tcp(self, node: "_TcpNode") -> bool:
+    def _connect(self, node: _Node) -> bool:
         """One connect+handshake attempt; schedules the next on loss."""
         try:
             node.connect(self._hello, self._backoff)
@@ -680,7 +576,7 @@ class Router:
             )
         conn, generation = node.conn, node.generation
         reader = threading.Thread(
-            target=self._tcp_read_loop,
+            target=self._read_replies,
             args=(node, conn, generation),
             name=f"router-node-{node.idx}-reader-g{generation}",
             daemon=True,
@@ -985,8 +881,8 @@ class Router:
             try:
                 node.send(wire, entry.generation)
             except OSError:
-                # Died (or was respawned) between the liveness check
-                # and the write; undo the registration and retry.
+                # Died (or reconnected) between the liveness check and
+                # the write; undo the registration and retry.
                 if self._take_if(
                     entry.internal_id, written_attempts
                 ) is None:
@@ -1068,27 +964,9 @@ class Router:
         )
 
     # -- node I/O ------------------------------------------------------
-    def _read_loop(self, node: _Node, generation: int) -> None:
-        proc = node.proc
-        assert proc is not None and proc.stdout is not None
-        for line in proc.stdout:
-            line = line.strip()
-            if not line:
-                continue
-            node.last_seen = time.time()
-            try:
-                data = json.loads(line)
-                response = Response.from_json(data)
-            except (ProtoError, ValueError):
-                self._count("router_bad_node_lines_total")
-                continue
-            self._on_response(node, response)
-        proc.wait()
-        self._on_node_exit(node, generation)
-
-    def _tcp_read_loop(
+    def _read_replies(
         self,
-        node: "_TcpNode",
+        node: _Node,
         conn: SocketConnection,
         generation: int,
     ) -> None:
@@ -1097,8 +975,7 @@ class Router:
         Exits on *connection* loss — process death, chaos kill, wedge
         teardown all surface here as EOF — and fails over exactly the
         requests written into this generation.  Pongs are consumed at
-        this layer (RTT histogram); everything else takes the same
-        response path as the pipe transport.
+        this layer (RTT histogram); every other line is a response.
         """
         while True:
             line = conn.readline()
@@ -1218,10 +1095,10 @@ class Router:
     def collect_node_metrics(
         self, timeout_s: float = 5.0
     ) -> Dict[int, Optional[dict]]:
-        """One metrics snapshot per node, over the existing pipes.
+        """One metrics snapshot per node, over the live connections.
 
-        Sends the ``{"control": "metrics"}`` document down each alive
-        node's stdin and matches the replies out-of-band (they never
+        Sends the ``{"control": "metrics"}`` document down each
+        connected node's socket and matches the replies out-of-band (they never
         touch the request failover machinery).  A dead, draining or
         unresponsive node maps to ``None`` — aggregation degrades, it
         never blocks the fabric.
@@ -1280,7 +1157,7 @@ class Router:
         return {
             node.idx: {
                 "reachable": node.ready(),
-                "transport": node.transport,
+                "transport": "tcp",
                 "last_seen": node.last_seen or None,
                 "generation": node.generation,
             }
@@ -1319,23 +1196,7 @@ class Router:
         while not self._stop.wait(self.config.monitor_interval_s):
             now = time.monotonic()
             for node in self._nodes:
-                if isinstance(node, _TcpNode):
-                    self._supervise_tcp(node, now)
-                    continue
-                if not node.alive():
-                    if not node.closing and not self._closed:
-                        self._count(
-                            "router_node_restarts_total",
-                            self._node_labels(node.idx),
-                        )
-                        self._spawn_node(node)
-                    continue
-                if self._request_wedged(node, now):
-                    self._count(
-                        "router_node_wedges_total",
-                        self._node_labels(node.idx),
-                    )
-                    node.kill()
+                self._supervise(node, now)
             self._sync_gauges()
 
     def _request_wedged(self, node: _Node, now: float) -> bool:
@@ -1350,8 +1211,8 @@ class Router:
                 for e in self._pending.values()
             )
 
-    def _supervise_tcp(self, node: "_TcpNode", now: float) -> None:
-        """One supervision tick of a TCP node.
+    def _supervise(self, node: _Node, now: float) -> None:
+        """One supervision tick of a node.
 
         Ordering matters: process death forces respawn+reconnect; a
         live process with a lost connection reconnects, paced by the
@@ -1379,11 +1240,11 @@ class Router:
                 node.connect_attempt += 1
                 node.next_attempt_at = time.monotonic() + pause
                 return
-            self._connect_tcp(node)
+            self._connect(node)
             return
         if not node.ready():
             if now >= node.next_attempt_at:
-                self._connect_tcp(node)
+                self._connect(node)
             return
         if node.heartbeat.wedged():
             self._count(
@@ -1456,8 +1317,7 @@ class Router:
                 node.proc.wait()
                 clean = False
         for node in self._nodes:
-            if isinstance(node, _TcpNode):
-                node.break_link()  # unblock readers still in readline
+            node.break_link()  # unblock readers still in readline
         for reader in self._readers:
             reader.join(timeout=5.0)
         self._started = False

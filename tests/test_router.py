@@ -74,6 +74,14 @@ class TestRendezvousOrder:
             rendezvous_order("fp", 0)
 
 
+class TestNodeConfig:
+    def test_tcp_is_the_only_transport(self):
+        assert NodeConfig().transport == "tcp"
+        assert NodeConfig().argv()[-2:] == ["--listen", "127.0.0.1:0"]
+        with pytest.raises(ValueError, match="transport"):
+            NodeConfig(transport="pipe")
+
+
 def _read_node_counters(metrics_dir):
     """Summed counters over every node-N.json metrics export."""
     totals = collections.Counter()
@@ -278,7 +286,7 @@ class TestRouterProtocolSurface:
 class TestFabricAggregation:
     def test_collect_and_merge_node_metrics(self, tmp_path):
         """The router pulls every node's metrics snapshot over the
-        live request pipes and merges them with its own registry into
+        live node connections and merges them with its own registry into
         one fabric view."""
         registry = MetricsRegistry()
         config = RouterConfig(
@@ -311,7 +319,7 @@ class TestFabricAggregation:
         assert set(per_node) == {0, 1}
         reachable = [s for s in per_node.values() if s is not None]
         assert reachable
-        # All four requests are visible through the node pipes.
+        # All four requests are visible through the node connections.
         node_requests = sum(
             v
             for snap in reachable
@@ -343,7 +351,7 @@ class TestFabricAggregation:
             k.startswith("service_stage_ms")
             for k in merged["histograms"]
         )
-        # Slow-request exemplars survive the pipe and the merge.
+        # Slow-request exemplars survive the wire and the merge.
         exemplars = merged.get("exemplars", {})
         assert "router_request_latency_ms" in exemplars
         assert "service_request_latency_ms" in exemplars
@@ -390,7 +398,6 @@ def _tcp_config(tmp_path, **overrides):
         node=NodeConfig(
             workers=2,
             cache_dir=str(tmp_path / "cache"),
-            transport="tcp",
             **node_kwargs,
         ),
         heartbeat_interval_s=0.5,
@@ -405,7 +412,7 @@ def _tcp_config(tmp_path, **overrides):
 @pytest.mark.slow
 class TestTcpTransport:
     def test_campaign_over_real_sockets(self, tmp_path):
-        """The pipe-mode guarantees carry over TCP verbatim: every
+        """The fabric guarantees hold over real sockets: every
         request answered ok, one owner, proto:1 round-trips, node
         status reports reachable tcp nodes."""
         metrics_dir = str(tmp_path / "metrics")
@@ -641,7 +648,6 @@ class TestCrossRouterLeases:
                     node=NodeConfig(
                         workers=2,
                         cache_dir=cache_dir,
-                        transport="tcp",
                     ),
                     node_metrics_dir=metrics_dirs[r],
                 ),
@@ -831,7 +837,6 @@ class TestRemoteNodes:
                 node=NodeConfig(
                     workers=2,
                     cache_dir=str(tmp_path / "cache"),
-                    transport="tcp",
                 ),
             )
             router = Router(

@@ -298,6 +298,12 @@ class TestStitchedFabricTrace:
 
         paths = sorted(glob.glob(os.path.join(trace_dir, "*.jsonl")))
         assert len(paths) == 3  # router + both nodes
+        # Each node's first process names its file by spawn count g0.
+        node_files = sorted(
+            os.path.basename(p) for p in paths
+            if os.path.basename(p).startswith("node-")
+        )
+        assert node_files == ["node-0-g0.jsonl", "node-1-g0.jsonl"]
         doc = stitch_traces(paths)
         json.loads(json.dumps(doc))  # loads as valid trace_event JSON
 
